@@ -16,14 +16,15 @@
 // *virtual* time: total messages over the span from first send to the
 // delivery of the last message at the receiving application.
 //
-// Each cell is averaged over several seeds: the seeded link RNG's
-// draw-to-datagram assignment depends on thread interleaving, so a single
-// lossy run is noisy run-to-run even in virtual time.  Per-cell keys are
-// therefore *informational* (goodput_msg_rate, retx_overhead_pct,
+// Each cell is averaged over several seeds, because one seed's loss pattern
+// is one sample.  A run is a pure function of its seed: the driving thread
+// holds virtual time still while it builds the rig, and the clock orders
+// events due at the same instant (deliveries first), so the seeded link RNG
+// sees the same draw order every run, however loaded the host.  Per-cell keys
+// are *informational* (goodput_msg_rate, retx_overhead_pct,
 // efficiency_gain_x, ...).  Only the whole-matrix aggregate row carries
 // gated "*_ratio" keys for bench_compare.py — a geometric-mean goodput
-// ratio and an all-cells retransmit-efficiency gain, both stable enough
-// to regress-test at the 10% threshold.
+// ratio and an all-cells retransmit-efficiency gain.
 
 #include <algorithm>
 #include <atomic>
@@ -87,6 +88,10 @@ CellResult runCell(const ReliableConfig& cfg, double loss, Duration delay,
   testkit::VirtualClock clock;
   CellResult out;
   {
+    // The driving thread is a clock worker: virtual time stands still while
+    // it builds the rig and schedules the load, so every run starts its
+    // timers and its pacing on the same instants.
+    const ClockSource::WorkerScope mainIsWorker(clock);
     SimNetwork::Options opts;
     opts.clock = &clock;
     SimNetwork net(seed, opts);
@@ -98,8 +103,8 @@ CellResult runCell(const ReliableConfig& cfg, double loss, Duration delay,
 
     // Completion is timestamped on the delivery thread (a clocked worker),
     // so `elapsed` is the exact virtual instant the last message reached
-    // the application — independent of how late the driving (guest) thread
-    // happens to wake.
+    // the application — independent of how late the driving thread happens
+    // to wake.
     const TimePoint start = clock.now();
     std::atomic<std::int64_t> doneUs{-1};
     std::atomic<int> delivered{0};
@@ -112,9 +117,7 @@ CellResult runCell(const ReliableConfig& cfg, double loss, Duration delay,
 
     // Pace the offered load from the clock's scheduler thread: each burst
     // fires at an exact virtual time (time is paused while the callback
-    // runs).  Driving from this guest thread instead would race the
-    // scheduler — a quiescent instant mid-burst lets the clock leap a few
-    // retransmit ticks ahead, which skews the pacing by run-to-run noise.
+    // runs).
     const std::string payload(kPayloadBytes, 'x');
     for (int k = 0; k * kChunk < messages; ++k) {
       const int burst = std::min(kChunk, messages - k * kChunk);

@@ -62,7 +62,9 @@ struct ReliableConfig {
   /// Exponential per-frame backoff cap (RTO, 2*RTO, ... up to this).
   Duration maxRto = milliseconds(500);
   /// Congestion window at stream creation and after resetStream, in frames.
-  std::uint32_t initialCwnd = 4;
+  /// Ten is the initial window of current TCP stacks (RFC 6928): a fresh
+  /// channel's first round trip carries a 5 ms stream over a 50 ms path.
+  std::uint32_t initialCwnd = 10;
   /// Congestion window ceiling, in frames.
   std::uint32_t maxCwnd = 256;
   /// Duplicate-SACK evidence threshold for fast retransmit: a pending frame

@@ -21,6 +21,18 @@
 /// clock's scheduler thread) — the hook for fault injection: kill a host at
 /// t+300ms, heal a partition at t+800ms, with perfect repeatability.
 ///
+/// Events due at the same instant run in a fixed order, not in the order
+/// the OS happens to schedule their threads:
+///  * delivery workers first (`WorkerKind::kDelivery`, the `SimNetwork`
+///    delivery thread): when one is due, the step wakes only the delivery
+///    workers; every other waiter and alarm due at that instant waits for
+///    the next step, which comes once the delivery workers have parked
+///    again — so their handlers have finished;
+///  * a registered waiter resumes only when the clock signals it (its
+///    deadline was stepped to, or a routed notify).  Reading `now()` past
+///    its deadline is not enough: the clock may still be holding it back
+///    behind a delivery.
+///
 /// Two driving modes:
 ///  * auto-advance (default): a scheduler thread advances whenever the
 ///    system quiesces.  Existing tests convert by constructing the clock,
@@ -70,7 +82,7 @@ class VirtualClock final : public ClockSource {
   void notifyOne(std::condition_variable& cv) override;
   void notifyAll(std::condition_variable& cv) override;
   void interruptAll() override;
-  void beginWorker() override;
+  void beginWorker(WorkerKind kind) override;
   void endWorker() override;
   void announceWorker() override;
 
@@ -89,7 +101,9 @@ class VirtualClock final : public ClockSource {
 
   /// Steps through every deadline/alarm due up to `t` in order, then sets
   /// the clock to `t`.  Does not wait for workers to quiesce between steps;
-  /// use `settle()` for that.
+  /// use `settle()` for that.  Delivery workers are still signalled first
+  /// at each instant, but without that wait their handlers may overlap the
+  /// waiters and alarms of the step after.
   void advanceTo(TimePoint t);
   void advanceBy(Duration d);
 

@@ -79,13 +79,20 @@ class ClockSource {
   /// where plain timeouts already guarantee progress.
   virtual void interruptAll() {}
 
+  /// A *delivery* worker is a simulated network's delivery thread.  When
+  /// several clocked waits fall due at one virtual instant, a virtual clock
+  /// resumes the delivery workers first and every other due waiter only
+  /// after they have parked again: a datagram due at the same instant as a
+  /// retransmission timer is always handled before the timer runs.
+  enum class WorkerKind { kOrdinary, kDelivery };
+
   /// Worker accounting: a *worker* thread is one whose forward progress is
   /// driven purely by messages and timers (transport delivery threads,
   /// retransmission timers, spawned dapplet workers).  A virtual clock only
   /// advances time when every registered worker is parked in a clocked wait,
   /// so registration is what makes compute "instantaneous" in virtual time.
   /// No-ops on the system clock.
-  virtual void beginWorker() {}
+  virtual void beginWorker(WorkerKind /*kind*/) {}
   virtual void endWorker() {}
 
   /// Called by the *spawning* thread immediately before it starts a thread
@@ -101,8 +108,10 @@ class ClockSource {
   /// RAII worker registration for thread bodies.
   class WorkerScope {
    public:
-    explicit WorkerScope(ClockSource& clock) : clock_(clock) {
-      clock_.beginWorker();
+    explicit WorkerScope(ClockSource& clock,
+                         WorkerKind kind = WorkerKind::kOrdinary)
+        : clock_(clock) {
+      clock_.beginWorker(kind);
     }
     ~WorkerScope() { clock_.endWorker(); }
     WorkerScope(const WorkerScope&) = delete;

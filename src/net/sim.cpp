@@ -224,9 +224,12 @@ struct SimNetwork::Impl {
   }
 
   void run(std::stop_token stop) {
-    // Registered as a clock worker: while this thread is parked waiting for
-    // the next due datagram, a virtual clock may jump straight to it.
-    ClockSource::WorkerScope workerScope(*clk);
+    // Registered as the clock's delivery worker: while this thread is parked
+    // waiting for the next due datagram, a virtual clock may jump straight
+    // to it, and datagrams due at the same instant as a timer are handled
+    // before the timer runs.
+    ClockSource::WorkerScope workerScope(*clk,
+                                         ClockSource::WorkerKind::kDelivery);
     std::unique_lock lock(mutex);
     while (!stop.stop_requested()) {
       if (queue.empty()) {

@@ -169,7 +169,6 @@ struct ReliableEndpoint::Impl {
       mReorderDepth = &metrics->histogram("reliable.reorder_depth");
       mSrttUs = &metrics->histogram("reliable.srtt_us");
       mCwnd = &metrics->gauge("reliable.cwnd");
-      mFastRetransmits = &metrics->counter("reliable.fast_retransmits");
       trace = &metrics->trace();
     }
     for (const std::string& n : clampNotes) {
@@ -191,7 +190,6 @@ struct ReliableEndpoint::Impl {
   obs::Histogram* mReorderDepth = nullptr;  ///< buffered frames per gap event
   obs::Histogram* mSrttUs = nullptr;        ///< smoothed RTT after each sample
   obs::Gauge* mCwnd = nullptr;              ///< last updated stream's window
-  obs::Counter* mFastRetransmits = nullptr;
   obs::TraceRing* trace = nullptr;
 
   mutable std::mutex mutex;
@@ -642,7 +640,6 @@ struct ReliableEndpoint::Impl {
             ++stats.retransmits;
             ++stats.fastRetransmits;
             stats.retransmitBytes += p.envelope.size();
-            if (mFastRetransmits != nullptr) mFastRetransmits->inc();
           }
         }
         // Acks freed window space: move queued frames into flight.

@@ -13,6 +13,8 @@ namespace {
 /// Set for the duration of a registered worker thread's body; decides
 /// whether this thread's clocked waits count toward quiescence.
 thread_local bool tlsWorker = false;
+/// Set while the worker is a delivery worker: its waits resume first.
+thread_local bool tlsDelivery = false;
 }  // namespace
 
 /// One thread parked in a clocked wait.  Lives on the waiter's stack; the
@@ -20,11 +22,13 @@ thread_local bool tlsWorker = false;
 /// the lost-wakeup guard: every wake-up routed through the clock sets it
 /// under the registry mutex *before* notifying, and the parked thread's
 /// condition-variable predicate checks it, so a notify that fires between
-/// "decided to park" and "actually parked" is never lost.
+/// "decided to park" and "actually parked" is never lost.  It is also the
+/// only way a waiter's deadline lets it resume (see waitUntilImpl).
 struct Waiter {
   std::condition_variable* cv = nullptr;
   TimePoint deadline = TimePoint::max();
   bool worker = false;
+  bool delivery = false;
   std::atomic<bool> signaled{false};
 };
 
@@ -81,17 +85,29 @@ struct VirtualClock::Impl {
     return next;
   }
 
-  /// Wakes every waiter whose deadline has been reached.
-  void fireDueWaitersLocked() {
+  static bool dueBy(const Waiter* w, TimePoint t) {
+    return w->deadline <= t && !w->signaled.load(std::memory_order_relaxed);
+  }
+
+  /// Wakes the waiters whose deadline has been reached, delivery workers
+  /// first: while one of them is due, only the delivery workers wake and
+  /// every other due waiter stays registered for the next step.  Returns
+  /// true when it woke delivery workers.
+  bool fireDueWaitersLocked() {
     const TimePoint t = nowTP();
+    const bool deliveryFirst =
+        std::any_of(waiters.begin(), waiters.end(), [t](const Waiter* w) {
+          return w->delivery && dueBy(w, t);
+        });
     std::vector<std::condition_variable*> cvs;
     for (Waiter* w : waiters) {
-      if (w->deadline <= t && !w->signaled.load(std::memory_order_relaxed)) {
+      if (dueBy(w, t) && (w->delivery || !deliveryFirst)) {
         w->signaled.store(true, std::memory_order_release);
         cvs.push_back(w->cv);
       }
     }
     for (std::condition_variable* cv : cvs) cv->notify_all();
+    return deliveryFirst;
   }
 
   std::vector<std::function<void()>> takeDueAlarmsLocked() {
@@ -140,7 +156,10 @@ struct VirtualClock::Impl {
     if (next == TimePoint::max()) return false;
     const TimePoint target = std::min(next, cap);
     if (target > nowTP()) setNowLocked(target);
-    fireDueWaitersLocked();
+    // Woken delivery workers have this instant to themselves: the alarms
+    // and other waiters due now go in the next step, which the scheduler
+    // takes only once the system is quiescent again — their handlers done.
+    if (fireDueWaitersLocked()) return true;
     auto due = takeDueAlarmsLocked();
     if (!due.empty()) {
       lock.unlock();
@@ -252,12 +271,15 @@ bool VirtualClock::waitUntilImpl(std::unique_lock<std::mutex>& lock,
     w.cv = &cv;
     w.deadline = deadline;
     w.worker = tlsWorker;
+    w.delivery = tlsDelivery;
     impl_->registerWaiter(&w);
-    // `pred`/deadline in the park predicate is belt-and-braces: a stray
-    // un-routed notify still makes progress instead of sleeping forever.
+    // Once registered, the deadline lets this thread resume only through
+    // the clock's signal, never by reading `now() >= deadline`: at an
+    // instant where a delivery is due too, the clock holds this waiter back
+    // until the delivery's handlers are done.  `pred` in the park predicate
+    // is belt-and-braces: a stray un-routed notify still makes progress.
     cv.wait(lock, [&] {
-      return w.signaled.load(std::memory_order_acquire) || pred(ctx) ||
-             now() >= deadline;
+      return w.signaled.load(std::memory_order_acquire) || pred(ctx);
     });
     impl_->unregisterWaiter(&w);
   }
@@ -270,10 +292,9 @@ void VirtualClock::parkUntil(std::unique_lock<std::mutex>& lock,
   w.cv = &cv;
   w.deadline = deadline;
   w.worker = tlsWorker;
+  w.delivery = tlsDelivery;
   impl_->registerWaiter(&w);
-  cv.wait(lock, [&] {
-    return w.signaled.load(std::memory_order_acquire) || now() >= deadline;
-  });
+  cv.wait(lock, [&] { return w.signaled.load(std::memory_order_acquire); });
   impl_->unregisterWaiter(&w);
 }
 
@@ -309,8 +330,9 @@ void VirtualClock::interruptAll() {
   impl_->changed.notify_all();
 }
 
-void VirtualClock::beginWorker() {
+void VirtualClock::beginWorker(WorkerKind kind) {
   tlsWorker = true;
+  tlsDelivery = kind == WorkerKind::kDelivery;
   {
     std::scoped_lock lock(impl_->m);
     ++impl_->workers;
@@ -329,6 +351,7 @@ void VirtualClock::announceWorker() {
 
 void VirtualClock::endWorker() {
   tlsWorker = false;
+  tlsDelivery = false;
   {
     std::scoped_lock lock(impl_->m);
     --impl_->workers;

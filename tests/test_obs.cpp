@@ -12,6 +12,7 @@
 #include "dapple/net/sim.hpp"
 #include "dapple/obs/metrics.hpp"
 #include "dapple/serial/data_message.hpp"
+#include "dapple/testkit/virtual_clock.hpp"
 
 namespace dapple {
 namespace {
@@ -214,6 +215,52 @@ TEST(ObsWiring, LossyLinkShowsUpAsRetransmitsAndDrops) {
             sim.counters.at("sim.sent") - sim.counters.at("sim.dropped") +
                 sim.counters.at("sim.duplicated"));
 
+  a.stop();
+  b.stop();
+}
+
+TEST(ObsWiring, FastRetransmitsCountedOnce) {
+  // One frame is lost and, with the retransmission timer pinned out of
+  // reach, repaired by fast retransmit alone.  The snapshot must report
+  // the transport's own count, not that count plus a second copy.
+  testkit::VirtualClock clock;
+  SimNetwork::Options netOpts;
+  netOpts.clock = &clock;
+  SimNetwork net(780, netOpts);
+  const LinkParams clean{milliseconds(1), microseconds(0), 0.0, 0.0};
+  net.setDefaultLink(clean);
+  DappletConfig cfg;
+  cfg.clock = &clock;
+  cfg.reliable.tickInterval = milliseconds(2);
+  cfg.reliable.rto = seconds(10);
+  cfg.reliable.minRto = seconds(10);
+  cfg.reliable.maxRto = seconds(10);
+  cfg.reliable.deliveryTimeout = seconds(60);
+  cfg.reliable.initialCwnd = 64;
+  cfg.host = 1;
+  Dapplet a(net, "a", cfg);
+  cfg.host = 2;
+  Dapplet b(net, "b", cfg);
+  Inbox& in = b.createInbox("in");
+  Outbox& out = a.createOutbox();
+  out.add(in.ref());
+
+  constexpr int kMessages = 31;
+  for (int i = 0; i < kMessages; ++i) {
+    net.setHostLink(1, 2, i == 10 ? LinkParams{milliseconds(1),
+                                               microseconds(0), 1.0, 0.0}
+                                  : clean);
+    DataMessage m("n");
+    m.set("i", Value(static_cast<long long>(i)));
+    out.send(m);
+  }
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_EQ(in.receiveAs<DataMessage>(seconds(30)).get("i").asInt(), i);
+  }
+
+  const std::uint64_t fast = a.transport().stats().fastRetransmits;
+  EXPECT_EQ(fast, 1u);
+  EXPECT_EQ(a.metrics().counters.at("reliable.fast_retransmits"), fast);
   a.stop();
   b.stop();
 }

@@ -3,6 +3,7 @@
 // ack coalescing (delay/threshold flushes, dup-ack suppression).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -524,13 +525,13 @@ TEST(ReliableAdaptive, WindowGrowsFromSlowStartAndDefersExcessFrames) {
   pair.a.sendMany(std::move(sends), 1, Payload());
   ASSERT_TRUE(sink.waitFor(1, kCount, seconds(20)));
   ASSERT_TRUE(pair.a.flush(seconds(10)));
-  // 64 frames against an initial window of 4: the tail was queued, not
-  // flooded onto the wire...
+  // 64 frames against the initial window: the tail was queued, not flooded
+  // onto the wire...
   EXPECT_GT(pair.a.stats().windowDeferred, 0u);
   // ...and slow start opened the window while acks streamed back.
   const auto probe = pair.a.probeStream(pair.b.address(), 1);
   ASSERT_TRUE(probe.exists);
-  EXPECT_GT(probe.cwnd, 4.0);
+  EXPECT_GT(probe.cwnd, ReliableConfig{}.initialCwnd);
   EXPECT_EQ(probe.inFlight, 0u);
   EXPECT_EQ(probe.queued, 0u);
   // FIFO held across the deferral boundary.
@@ -557,7 +558,7 @@ TEST(ReliableAdaptive, TimerExpiryCollapsesWindowAndRecoveryRegrows) {
   ASSERT_TRUE(sink.waitFor(1, 32, seconds(10)));
   ASSERT_TRUE(pair.a.flush(seconds(10)));
   const double grown = pair.a.probeStream(pair.b.address(), 1).cwnd;
-  EXPECT_GT(grown, 4.0);
+  EXPECT_GT(grown, ReliableConfig{}.initialCwnd);
   // Cut the link: the in-flight frames' timers expire and the window must
   // collapse to 1 with ssthresh at half the flight (>= 2).
   pair.net.setPartition(1, 2, true);
@@ -578,6 +579,75 @@ TEST(ReliableAdaptive, TimerExpiryCollapsesWindowAndRecoveryRegrows) {
   const auto got = sink.get(1);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(got[32 + i], "dark-" + std::to_string(i));
+  }
+}
+
+TEST(ReliableAdaptive, FreshStreamSendsInitialWindowBeforeFirstAck) {
+  // A new channel's first flight is ten frames (RFC 6928): over a dark link
+  // no ack can open the window, so 16 sends put exactly 10 datagrams on the
+  // wire and park the other 6.  The 10 s RTO keeps retransmissions out of
+  // the count.
+  ReliableConfig cfg;
+  cfg.rto = seconds(10);
+  cfg.minRto = seconds(10);
+  cfg.maxRto = seconds(10);
+  cfg.deliveryTimeout = seconds(60);
+  VirtualDuo pair(59, cfg);
+  pair.net.setPartition(1, 2, true);
+  for (int i = 0; i < 16; ++i) {
+    pair.a.send(pair.b.address(), 1, std::to_string(i));
+  }
+  EXPECT_EQ(pair.net.stats().sent, 10u);
+  EXPECT_EQ(pair.a.stats().dataSent, 10u);
+  EXPECT_EQ(pair.a.stats().windowDeferred, 6u);
+  const auto probe = pair.a.probeStream(pair.b.address(), 1);
+  EXPECT_EQ(probe.inFlight, 10u);
+  EXPECT_EQ(probe.queued, 6u);
+}
+
+TEST(ReliableAdaptive, PacedStreamOnTwentyMsPathNeverTimesOutSpuriously) {
+  // The E10 0% x 20 ms cell (bench_transport): 8 frames every 5 ms over a
+  // constant 20 ms link.  The first flight's acks land on the same virtual
+  // instants as the sender's retransmission ticks; because the clock hands
+  // each instant to the delivery first, no ack ever loses that race — no
+  // retransmission, and the last frame lands 20 ms after the last burst.
+  constexpr int kMessages = 1600;
+  constexpr int kBurst = 8;
+  for (int run = 0; run < 3; ++run) {
+    testkit::VirtualClock clock;
+    // Time stands still while this thread builds the rig and schedules the
+    // load, so every run starts on the same instants.
+    const ClockSource::WorkerScope mainIsWorker(clock);
+    SimNetwork::Options opts;
+    opts.clock = &clock;
+    SimNetwork net(60 + static_cast<std::uint64_t>(run), opts);
+    net.setDefaultLink(LinkParams{milliseconds(20), microseconds(0), 0.0, 0.0});
+    ReliableConfig cfg;
+    cfg.deliveryTimeout = seconds(60);
+    ReliableEndpoint sender(net.openAt(1), cfg, nullptr, &clock);
+    ReliableEndpoint receiver(net.openAt(2), cfg, nullptr, &clock);
+    const TimePoint start = clock.now();
+    std::atomic<int> delivered{0};
+    std::atomic<TimePoint::rep> lastDelivery{0};
+    receiver.setDeliver(
+        [&](const NodeAddress&, std::uint64_t, std::string_view) {
+          if (delivered.fetch_add(1) + 1 == kMessages) {
+            lastDelivery = (clock.now() - start).count();
+          }
+        });
+    for (int k = 0; k * kBurst < kMessages; ++k) {
+      clock.at(start + milliseconds(1) + k * milliseconds(5), [&] {
+        for (int i = 0; i < kBurst; ++i) {
+          sender.send(receiver.address(), 1, std::string(256, 'x'));
+        }
+      });
+    }
+    while (lastDelivery.load() == 0) clock.sleepFor(milliseconds(5));
+    EXPECT_EQ(sender.flushEx(seconds(10)),
+              ReliableEndpoint::FlushOutcome::kFlushed);
+    EXPECT_EQ(sender.stats().retransmits, 0u) << "run " << run;
+    EXPECT_EQ(Duration(lastDelivery.load()), milliseconds(1016))
+        << "run " << run;
   }
 }
 

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "dapple/core/dapplet.hpp"
 #include "dapple/net/sim.hpp"
@@ -114,6 +117,104 @@ TEST(VirtualClock, SyncQueuePopForTimesOutInVirtualTime) {
   const auto got = q.popFor(seconds(120));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 7);
+}
+
+// ---------------------------------------------------------------------------
+// Equal deadlines: deliveries first, and only the clock's signal resumes
+// ---------------------------------------------------------------------------
+
+/// One datagram from host 1 to host 2 and one worker timer, both due 10 ms
+/// from now.  The handler dawdles in real time (after `onDeliver`) to give
+/// the timer every chance to overtake it; `order()` returns what ran first.
+class SameInstant {
+ public:
+  explicit SameInstant(std::function<void(SameInstant&)> onDeliver)
+      : net(1, [this] {
+          SimNetwork::Options o;
+          o.clock = &clock;
+          return o;
+        }()),
+        from(net.openAt(1)),
+        to(net.openAt(2)) {
+    net.setDefaultLink(LinkParams{milliseconds(10), microseconds(0), 0.0, 0.0});
+    to->setHandler([this, onDeliver](const NodeAddress&, std::string_view) {
+      onDeliver(*this);
+      std::this_thread::sleep_for(milliseconds(5));
+      record("handler");
+    });
+    // Announced before the send: time stands still until the timer parks.
+    clock.announceWorker();
+    const TimePoint due = clock.now() + milliseconds(10);
+    from->send(to->address(), "ping");
+    timer = std::thread([this, due] {
+      ClockSource::WorkerScope scope(clock);
+      std::unique_lock lock(timerMutex);
+      clock.waitUntil(lock, timerCv, due, [] { return false; });
+      record("timer");
+    });
+  }
+
+  ~SameInstant() {
+    if (timer.joinable()) timer.join();
+  }
+  SameInstant(const SameInstant&) = delete;
+  SameInstant& operator=(const SameInstant&) = delete;
+
+  std::vector<std::string> order() {
+    timer.join();
+    std::unique_lock lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, seconds(5), [&] { return ran.size() == 2; }));
+    return ran;
+  }
+
+  std::mutex timerMutex;
+  std::condition_variable timerCv;
+
+ private:
+  void record(const char* what) {
+    std::scoped_lock lock(mutex);
+    ran.emplace_back(what);
+    cv.notify_all();
+  }
+
+  VirtualClock clock;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<std::string> ran;
+  SimNetwork net;
+  std::shared_ptr<Endpoint> from;
+  std::shared_ptr<Endpoint> to;
+  std::thread timer;
+};
+
+TEST(VirtualClock, DeliveryDueWithATimerRunsFirst) {
+  // At an instant where a datagram and a timer are both due, the delivery
+  // thread resumes alone and the timer waits until its handler is done —
+  // on every run, whatever order the OS would wake the two threads in.
+  for (int run = 0; run < 10; ++run) {
+    SameInstant rig([](SameInstant&) {});
+    EXPECT_EQ(rig.order(), (std::vector<std::string>{"handler", "timer"}))
+        << "run " << run;
+  }
+}
+
+TEST(VirtualClock, RegisteredWaiterResumesOnlyOnTheClocksSignal) {
+  // While the delivery runs, `now()` already equals the timer's deadline,
+  // but the clock has not signalled the timer yet.  A waiter that looks at
+  // its park predicate in that window — because it registered just as time
+  // advanced past its deadline, or because a stray un-routed notify woke
+  // it, as here — must go back to sleep until the clock signals it.
+  for (int run = 0; run < 10; ++run) {
+    SameInstant rig([](SameInstant& self) {
+      {
+        // Taking the timer's mutex guarantees it is parked in cv.wait.
+        std::scoped_lock lock(self.timerMutex);
+      }
+      self.timerCv.notify_all();  // deliberately not routed via the clock
+    });
+    EXPECT_EQ(rig.order(), (std::vector<std::string>{"handler", "timer"}))
+        << "run " << run;
+  }
 }
 
 // ---------------------------------------------------------------------------
