@@ -4,7 +4,7 @@
 // The paper's vision is "world-wide" scale — processes hosting very large
 // numbers of small distributed objects.  With the classic runtime each
 // dapplet costs at least one retransmit-timer thread, capping a process at
-// a few thousand dapplets.  In reactor mode every dapplet shares one small
+// a few thousand dapplets.  On a shared reactor every dapplet uses one small
 // event-loop pool: N dapplets, O(hw_concurrency) threads.
 //
 // Shape: N dapplets on a simulated zero-delay network, wired into a ring

@@ -6,8 +6,9 @@
 /// Paper §3.1: *"A calendar dapplet is a process: it operates in a single
 /// address space ... and it communicates with other processes through
 /// ports."*  A `Dapplet` owns an endpoint (its IP address + port), a set of
-/// inboxes and outboxes, worker threads, and the Lamport clock that the
-/// message layer maintains (§4.2).  Several dapplets can live in one OS
+/// inboxes and outboxes, worker threads, the reactor its handlers and timers
+/// run on (a shared one, or its own one-loop reactor), and the Lamport clock
+/// that the message layer maintains (§4.2).  Several dapplets can live in one OS
 /// process (each with its own endpoint), which is how the tests, examples
 /// and benches build whole distributed sessions in a single binary over
 /// either the simulated network or real UDP sockets.
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,18 +66,14 @@ struct DappletConfig {
   /// `reliable` and `liveness`).
   struct RuntimeConfig {
     /// Shared event-loop pool this dapplet schedules on: its reliable-layer
-    /// retransmission ticks run on the reactor's timer wheel instead of a
-    /// dedicated thread, and services (liveness, session agent, RPC server)
-    /// register `Inbox::onMessage` handlers instead of spawning dispatch
-    /// loops.  Many dapplets share one reactor — that is the point: one
-    /// process hosts tens of thousands of dapplets on `hw_concurrency`
-    /// threads (see bench_swarm).  Null selects the legacy threaded mode;
-    /// `Dapplet::after`/`every`/`Inbox::onMessage` then lazily create a
-    /// small dapplet-owned reactor.  Must outlive the dapplet.
+    /// retransmission ticks run on the reactor's timer wheel, and services
+    /// (session agent, RPC server, liveness, tokens, ...) handle their
+    /// inboxes with `Inbox::onMessage` handlers on its loops.  Many dapplets
+    /// share one reactor — that is the point: one process hosts tens of
+    /// thousands of dapplets on `hw_concurrency` threads (see bench_swarm).
+    /// Null gives the dapplet its own one-loop reactor on its clock.  Must
+    /// outlive the dapplet.
     Reactor* reactor = nullptr;
-    /// Loop threads for the lazily-created owned reactor (only consulted
-    /// when `reactor` is null and an async API is first used).
-    unsigned ownedThreads = 1;
   };
   RuntimeConfig runtime{};
 
@@ -89,19 +87,13 @@ struct DappletConfig {
   /// outlive the dapplet.
   ClockSource* clock = nullptr;
 
-  /// Historical shim from the flat-knob era, kept one release as the
-  /// documented place config normalization happens.  Today it clamps
-  /// nonsense runtime knobs (`ownedThreads == 0` becomes 1) and folds the
-  /// runtime mode into the reliable layer: a dapplet scheduled on a shared
-  /// reactor drives its retransmission scan from the reactor's timer wheel,
-  /// so the per-endpoint timer thread is switched off.  The deprecated flat
-  /// liveness fields it used to fold into `liveness` are gone.
+  /// The configuration a dapplet actually runs with.  Every dapplet paces
+  /// its retransmission scan on its reactor's timer wheel, so the ordering
+  /// layer's own timer thread is switched off (`reliable.externalTick`),
+  /// and the ordering layer inherits the dapplet-level codec choice.
   DappletConfig normalized() const {
     DappletConfig out = *this;
-    if (out.runtime.ownedThreads == 0) out.runtime.ownedThreads = 1;
-    if (out.runtime.reactor != nullptr) out.reliable.externalTick = true;
-    // One knob governs the whole dapplet: the ordering layer inherits the
-    // dapplet-level codec choice.
+    out.reliable.externalTick = true;
     out.reliable.codec = out.wireCodec;
     return out;
   }
@@ -176,16 +168,21 @@ class Dapplet {
 
   // --- threads -------------------------------------------------------------
 
-  /// Runs `fn` on a dapplet-owned thread; the stop token fires at stop().
+  /// Runs `fn` on a dapplet-owned thread, for application roles and other
+  /// work that blocks; the stop token fires at stop().  Workers whose `fn`
+  /// has returned are joined and dropped on the next spawn().
   void spawn(std::function<void(std::stop_token)> fn);
+
+  /// Fires when stop() or crash() begins.  Services register
+  /// `std::stop_callback`s on it to wake their blocked callers.
+  std::stop_token stopToken() const;
 
   // --- event-driven runtime ------------------------------------------------
 
   /// The reactor this dapplet schedules on: the one injected via
-  /// `DappletConfig::runtime.reactor`, or a lazily-created dapplet-owned
-  /// pool (`runtime.ownedThreads` loops on this dapplet's clock) the first
-  /// time an async API is used.  The owned reactor is stopped by stop().
-  Reactor& reactor();
+  /// `DappletConfig::runtime.reactor`, or the dapplet's own one-loop
+  /// reactor on its clock, created with the dapplet and stopped by stop().
+  Reactor& reactor() const { return *reactor_; }
 
   /// Runs `fn` once, `delay` from now, on a reactor loop thread.  Callbacks
   /// must not block for long (they share the loop with every other dapplet
@@ -197,8 +194,9 @@ class Dapplet {
   Reactor::TimerHandle every(Duration period, std::function<void()> fn);
 
   /// Stops the dapplet: closes every inbox (waking blocked receivers with
-  /// ShutdownError), requests stop on spawned threads, joins them, and
-  /// closes the endpoint.  Idempotent.  Must NOT be called from a reactor
+  /// ShutdownError), fires stopToken() (waking spawned threads and every
+  /// service's blocked callers), joins the spawned threads, closes the
+  /// endpoint and stops the dapplet's own reactor.  Idempotent.  Must NOT be called from a reactor
   /// callback (a handler or timer running on a loop thread): teardown waits
   /// out the in-flight retransmit tick before destroying the reliable
   /// layer, and from a loop thread that wait degrades to asynchronous
@@ -287,6 +285,10 @@ class Dapplet {
   void onStreamFailure(const NodeAddress& dst, std::uint64_t streamId,
                        const std::string& reason);
 
+  /// The teardown stop() and crash() share: closes every inbox, fires the
+  /// stop token and joins spawned workers.  False when already stopped.
+  bool beginStop();
+
   struct Impl;
   const std::string name_;
   const DappletConfig config_;
@@ -295,6 +297,11 @@ class Dapplet {
   // Declared before reliable_/impl_: both record into the registry during
   // teardown, so it must outlive them.
   obs::MetricsRegistry metricsRegistry_;
+  // The dapplet's own reactor when none is injected.  ~Dapplet stops it
+  // before any member is destroyed; declared before reliable_ and impl_ so
+  // the pointers they hold to it stay valid to the end.
+  std::unique_ptr<Reactor> ownedReactor_;
+  Reactor* reactor_;
   std::unique_ptr<ReliableEndpoint> reliable_;
   std::unique_ptr<Impl> impl_;
 };

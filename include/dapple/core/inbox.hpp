@@ -9,12 +9,10 @@
 /// source channel), which the paper's clock and snapshot services rely on.
 ///
 /// Receive-surface conventions (beyond the paper's trio):
-///  * `receiveFor(timeout)` / `receiveAs<T>(timeout)` / `tryReceive()` are
-///    the canonical surface: "nothing arrived" is reported in the return
-///    value (`std::nullopt`), never by exception.
-///  * The throwing `receive(timeout)` overload is deprecated; callers that
-///    treat a missed deadline as failure throw `TimeoutError` themselves (or
-///    use `receiveAs<T>(timeout)`, which still throws for them).
+///  * `receiveFor(timeout)` / `tryReceive()` report "nothing arrived" in
+///    the return value (`std::nullopt`), never by exception; callers that
+///    treat a missed deadline as failure use `receiveAs<T>(timeout)`, which
+///    throws `TimeoutError` for them.
 ///  * All receives throw ShutdownError once the inbox is closed-and-drained
 ///    and PeerDownError when a peer-failure alert is pending (see raise()).
 ///  * `onMessage(handler)` switches the inbox to event-driven delivery on
@@ -101,20 +99,6 @@ class Inbox : public std::enable_shared_from_this<Inbox> {
 
   // --- extensions ----------------------------------------------------------
 
-  /// \deprecated Timed receive that throws TimeoutError when nothing
-  /// arrives in time.  Use `receiveFor(timeout)` (nullopt on timeout) or
-  /// `receiveAs<T>(timeout)` instead; this overload is kept one release for
-  /// out-of-tree callers.
-  [[deprecated(
-      "use receiveFor(timeout) or receiveAs<T>(timeout)")]] Delivery
-  receive(Duration timeout) {
-    auto d = queue_.popFor(timeout);
-    if (!d) {
-      throw TimeoutError("inbox '" + name_ + "' receive timed out");
-    }
-    return std::move(*d);
-  }
-
   /// Timed receive without the timeout exception: nullopt when nothing
   /// arrives in time.  Closed inboxes and pending peer-failure alerts still
   /// throw (ShutdownError / PeerDownError) — those are failures, not
@@ -145,7 +129,7 @@ class Inbox : public std::enable_shared_from_this<Inbox> {
   /// Non-blocking receive.
   std::optional<Delivery> tryReceive() { return queue_.tryPop(); }
 
-  // --- event-driven delivery (reactor mode) --------------------------------
+  // --- event-driven delivery ----------------------------------------------
 
   /// Per-delivery callback; runs on a reactor loop thread.
   using MessageHandler = std::function<void(Delivery)>;

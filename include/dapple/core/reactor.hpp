@@ -4,8 +4,9 @@
 /// threads plus a hashed timer wheel.
 ///
 /// The paper's world-wide system assumes a host serves many dapplets
-/// cheaply, but the original runtime burned three-plus threads per dapplet
-/// (retransmission timer, liveness heartbeat loop, session dispatch loop).
+/// cheaply, but a thread-per-loop runtime burns three-plus threads per
+/// dapplet (retransmission timer, liveness heartbeat loop, session dispatch
+/// loop).
 /// The `Reactor` inverts that: a fixed pool of loop threads (default
 /// `hw_concurrency`, configurable down to 1) executes every dapplet as a
 /// state machine — message handlers installed with `Inbox::onMessage` and
@@ -30,8 +31,8 @@
 ///
 /// Callback contract: handlers run on loop threads and must not block
 /// indefinitely (a blocked handler stalls every dapplet sharded onto that
-/// loop).  Long blocking work still belongs on `Dapplet::spawn` threads —
-/// the legacy threaded mode remains fully supported.
+/// loop).  Long blocking work belongs on `Dapplet::spawn` threads.  Every
+/// dapplet runs on a reactor: a shared one, or its own one-loop reactor.
 
 #include <cstdint>
 #include <functional>

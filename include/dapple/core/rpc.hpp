@@ -10,9 +10,10 @@
 /// associated with the inbox, and messages serve the role of asynchronous
 /// RPCs.  Synchronous RPCs are implemented as pairwise asynchronous RPCs."*
 ///
-/// `RpcServer` is the (inbox, object, thread) triple; `RpcClient` issues
-/// `notify` (asynchronous) and `call` (synchronous = request plus reply,
-/// correlated by id).
+/// `RpcServer` is the (inbox, object, thread) triple, with the thread being
+/// the inbox's `Inbox::onMessage` strand on the dapplet's reactor;
+/// `RpcClient` issues `notify` (asynchronous) and `call` (synchronous =
+/// request plus reply, correlated by id).
 
 #include <cstdint>
 #include <functional>
@@ -31,16 +32,18 @@ class RpcServer {
  public:
   using Method = std::function<Value(const Value& args)>;
 
-  /// Creates the serving inbox (named `inboxName`) and starts the dispatch
-  /// thread on `dapplet`.
+  /// Creates the serving inbox (named `inboxName`) on `dapplet` and serves
+  /// it from the dapplet's reactor.
   explicit RpcServer(Dapplet& dapplet, const std::string& inboxName = "rpc");
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
   RpcServer& operator=(const RpcServer&) = delete;
 
-  /// Registers a method.  Exceptions thrown by `fn` are marshalled back to
-  /// the synchronous caller as Error.
+  /// Registers a method.  Methods run one at a time, in arrival order, on a
+  /// reactor loop shared with every other dapplet on the reactor, so `fn`
+  /// must not block: hand long work to `Dapplet::spawn`.  Exceptions thrown
+  /// by `fn` are marshalled back to the synchronous caller as Error.
   void bind(const std::string& method, Method fn);
 
   /// The global pointer clients use to reach this object.

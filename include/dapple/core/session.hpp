@@ -3,9 +3,10 @@
 /// \brief Sessions: temporary networks of dapplets (paper §1, §3.1).
 ///
 /// A `SessionAgent` makes a dapplet able to *participate* in sessions: it
-/// owns the control inbox ("session.ctl"), enforces the access-control list
-/// and the interference guard, creates/destroys the session's ports, and
-/// runs the application role on a dedicated thread.
+/// owns the control inbox ("session.ctl") and handles it on the dapplet's
+/// reactor, enforces the access-control list and the interference guard,
+/// creates/destroys the session's ports, and runs the application role on a
+/// dedicated thread.
 ///
 /// An `Initiator` *establishes* sessions: given a plan (members from an
 /// address `Directory`, a port topology, per-member state access sets and

@@ -39,10 +39,9 @@ struct LivenessConfig {
 /// strings, so independent components can watch the same peer.
 class LivenessMonitor final : public PeerMonitor {
  public:
-  /// Creates the detector inbox ("live.ctl") and starts the beat loop — a
-  /// spawned thread in legacy mode, or a timer-wheel beat plus an
-  /// `Inbox::onMessage` handler (zero threads) when the dapplet runs on a
-  /// reactor (`DappletConfig::runtime.reactor`).
+  /// Creates the detector inbox ("live.ctl") and starts beating: a beat on
+  /// the dapplet's timer wheel plus an `Inbox::onMessage` handler for
+  /// arriving heartbeats — no thread of its own.
   explicit LivenessMonitor(Dapplet& dapplet, LivenessConfig config = {});
   ~LivenessMonitor() override;
 

@@ -56,8 +56,9 @@ struct GlobalSnapshot {
 /// coordinator (any member) calls `take()`.
 ///
 /// The service installs the dapplet's delivery tap.  `stateFn` must return
-/// the member's current local state and is invoked from service threads; it
-/// must be internally synchronized with the application's own updates.
+/// the member's current local state and is invoked from the service's
+/// handler on a reactor loop; it must be internally synchronized with the
+/// application's own updates.
 class CheckpointService {
  public:
   using StateFn = std::function<Value()>;
@@ -84,8 +85,8 @@ class CheckpointService {
   /// this member right after it records its local state for a cut at
   /// logical time `at` — `recovery::bindCheckpoint` uses it to compact the
   /// member's WAL into a durable checkpoint stamped `at`, so a coordinated
-  /// take() leaves a consistent recovery line on disk.  The hook runs on
-  /// the service's dispatch thread, outside its internal lock.
+  /// take() leaves a consistent recovery line on disk.  The hook runs in
+  /// the service's handler on a reactor loop, outside its internal lock.
   void onLocalCheckpoint(std::function<void(std::uint64_t at)> hook);
 
   struct Stats {

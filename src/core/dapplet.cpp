@@ -1,6 +1,8 @@
 #include "dapple/core/dapplet.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -13,6 +15,14 @@ namespace dapple {
 
 namespace {
 constexpr const char* kLog = "dapplet";
+
+/// A dapplet's own reactor: one loop on the dapplet's clock.
+std::unique_ptr<Reactor> makeOwnedReactor(ClockSource* clock) {
+  Reactor::Options opts;
+  opts.threads = 1;
+  opts.clock = clock;
+  return std::make_unique<Reactor>(opts);
+}
 }  // namespace
 
 struct Dapplet::Impl {
@@ -41,16 +51,19 @@ struct Dapplet::Impl {
   obs::Histogram* mFanout = nullptr;  ///< destinations per outbox send
 
   bool stopped = false;
-  std::vector<std::jthread> workers;
+  /// Fires at stop()/crash(): spawned workers and services listen on it.
+  std::stop_source stopSource;
 
-  /// Wheel timer pacing reliable_->tick() when the dapplet runs on a shared
-  /// reactor (DappletConfig::runtime.reactor); inert otherwise.
+  /// One spawned thread; `done` is its last write, so a worker seen done
+  /// joins at once.
+  struct Worker {
+    std::atomic<bool> done{false};
+    std::jthread thread;
+  };
+  std::list<Worker> workers;  // stable addresses: each thread flags its own
+
+  /// Wheel timer pacing reliable_->tick() on the dapplet's reactor.
   Reactor::TimerHandle reliableTick;
-
-  // Declared LAST so it is destroyed FIRST: the owned reactor's loops must
-  // stop (joining any in-flight drain task) before the inbox maps and the
-  // graveyard above are freed.
-  std::unique_ptr<Reactor> ownedReactor;
 };
 
 Dapplet::Dapplet(Network& network, std::string name, DappletConfig config)
@@ -59,6 +72,11 @@ Dapplet::Dapplet(Network& network, std::string name, DappletConfig config)
       clockSource_(config_.clock != nullptr ? config_.clock
                                             : &ClockSource::system()),
       metricsRegistry_(config_.traceCapacity),
+      ownedReactor_(config_.runtime.reactor != nullptr
+                        ? nullptr
+                        : makeOwnedReactor(clockSource_)),
+      reactor_(config_.runtime.reactor != nullptr ? config_.runtime.reactor
+                                                  : ownedReactor_.get()),
       impl_(std::make_unique<Impl>()) {
   impl_->mFanout = &metricsRegistry_.histogram("core.fanout");
   auto endpoint = network.openAt(config_.host, config_.port);
@@ -73,15 +91,12 @@ Dapplet::Dapplet(Network& network, std::string name, DappletConfig config)
                                  const std::string& reason) {
     onStreamFailure(dst, streamId, reason);
   });
-  if (config_.runtime.reactor != nullptr) {
-    // Reactor mode: normalized() switched the endpoint to externalTick, so
-    // its retransmission scan is paced here, on the shared timer wheel —
-    // zero dedicated threads per dapplet.  tick() is a no-op after close(),
-    // so a firing that races teardown is harmless.
-    impl_->reliableTick = config_.runtime.reactor->every(
-        config_.reliable.tickInterval,
-        [rel = reliable_.get()] { rel->tick(); });
-  }
+  // normalized() switched the endpoint to externalTick, so its
+  // retransmission scan is paced here, on the reactor's timer wheel.
+  // tick() is a no-op after close(), so a firing that races teardown is
+  // harmless.
+  impl_->reliableTick = reactor_->every(
+      config_.reliable.tickInterval, [rel = reliable_.get()] { rel->tick(); });
 }
 
 Dapplet::~Dapplet() { stop(); }
@@ -98,23 +113,14 @@ Inbox& Dapplet::createInbox(const std::string& name) {
   InboxRef ref{address(), id, name};
   auto inboxPtr = std::shared_ptr<Inbox>(new Inbox(id, name, std::move(ref)));
   inboxPtr->setClockSource(clockSource_);
-  if (config_.runtime.reactor != nullptr) {
-    // The poster must not capture the dapplet: on a shared reactor a drain
-    // task (which pins the inbox) can run after this dapplet is gone, and
-    // its tail re-check re-posts through this lambda.  The configured
-    // reactor outlives the dapplet by contract.
-    inboxPtr->setScheduler(
-        [r = config_.runtime.reactor](std::function<void()> task) {
-          r->post(std::move(task));
-        });
-  } else {
-    // Owned-reactor mode: the lazily-created reactor is stopped before the
-    // inboxes are freed (Impl member order), so `this` stays valid for as
-    // long as any drain task can run.
-    inboxPtr->setScheduler([this](std::function<void()> task) {
-      reactor().post(std::move(task));
-    });
-  }
+  // The poster must not capture the dapplet: on a shared reactor a drain
+  // task (which pins the inbox) can run after this dapplet is gone, and its
+  // tail re-check re-posts through this lambda.  The reactor outlives the
+  // dapplet's inboxes (a shared one by contract, the owned one by member
+  // order).
+  inboxPtr->setScheduler([r = reactor_](std::function<void()> task) {
+    r->post(std::move(task));
+  });
   Inbox& result = *inboxPtr;
   impl_->inboxesById.emplace(id, std::move(inboxPtr));
   if (!name.empty()) impl_->inboxesByName.emplace(name, &result);
@@ -202,65 +208,56 @@ void Dapplet::destroyOutbox(Outbox& box) {
 }
 
 void Dapplet::spawn(std::function<void(std::stop_token)> fn) {
+  std::list<Impl::Worker> finished;  // joined outside the lock, below
   std::scoped_lock lock(impl_->mutex);
   if (impl_->stopped) throw ShutdownError("dapplet stopped");
+  for (auto it = impl_->workers.begin(); it != impl_->workers.end();) {
+    const auto next = std::next(it);
+    if (it->done.load(std::memory_order_acquire)) {
+      finished.splice(finished.end(), impl_->workers, it);
+    }
+    it = next;
+  }
   // Wrap so a ShutdownError thrown out of a blocking receive during stop()
   // ends the worker quietly instead of terminating the process.  Worker
   // registration tells a virtual clock this thread's waits gate time
   // advancement (compute between waits is instantaneous in virtual time);
   // announced first so the clock cannot advance before the thread is up.
   clockSource_->announceWorker();
-  impl_->workers.emplace_back(
-      [fn = std::move(fn), this](std::stop_token stop) {
-        ClockSource::WorkerScope workerScope(*clockSource_);
-        try {
-          fn(stop);
-        } catch (const ShutdownError&) {
-          // normal during stop()
-        } catch (const Error& e) {
-          DAPPLE_LOG(kWarn, kLog)
-              << name_ << ": worker exited with error: " << e.what();
-        }
-      });
+  Impl::Worker& worker = impl_->workers.emplace_back();
+  worker.thread = std::jthread([fn = std::move(fn), this, &worker,
+                                stop = impl_->stopSource.get_token()] {
+    {
+      ClockSource::WorkerScope workerScope(*clockSource_);
+      try {
+        fn(stop);
+      } catch (const ShutdownError&) {
+        // normal during stop()
+      } catch (const Error& e) {
+        DAPPLE_LOG(kWarn, kLog)
+            << name_ << ": worker exited with error: " << e.what();
+      }
+    }
+    worker.done.store(true, std::memory_order_release);
+  });
 }
 
-Reactor& Dapplet::reactor() {
-  if (config_.runtime.reactor != nullptr) return *config_.runtime.reactor;
-  std::scoped_lock lock(impl_->mutex);
-  if (!impl_->ownedReactor) {
-    Reactor::Options opts;
-    opts.threads = config_.runtime.ownedThreads;
-    opts.clock = clockSource_;
-    impl_->ownedReactor = std::make_unique<Reactor>(opts);
-  }
-  return *impl_->ownedReactor;
+std::stop_token Dapplet::stopToken() const {
+  return impl_->stopSource.get_token();
 }
 
 Reactor::TimerHandle Dapplet::after(Duration delay,
                                     std::function<void()> fn) {
-  return reactor().after(delay, std::move(fn));
+  return reactor_->after(delay, std::move(fn));
 }
 
 Reactor::TimerHandle Dapplet::every(Duration period,
                                     std::function<void()> fn) {
-  return reactor().every(period, std::move(fn));
+  return reactor_->every(period, std::move(fn));
 }
 
 void Dapplet::stop() {
-  std::vector<std::jthread> workers;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    if (impl_->stopped) return;
-    impl_->stopped = true;
-    for (auto& [id, box] : impl_->inboxesById) box->close();
-    workers.swap(impl_->workers);
-  }
-  for (auto& worker : workers) worker.request_stop();
-  // Workers parked in timed clocked waits (heartbeat pacing, probe loops)
-  // re-check their stop tokens only when woken; under a virtual clock that
-  // wake must be routed, not waited out.
-  clockSource_->interruptAll();
-  workers.clear();  // joins
+  if (!beginStop()) return;
   // cancel() waits out any in-flight tick, so after it returns no loop
   // thread is still inside reliable_->tick() and reliable_ can be torn down
   // safely.  That wait only happens off loop threads, which is why stop()
@@ -269,12 +266,7 @@ void Dapplet::stop() {
   // would race the teardown below (see the header contract).
   impl_->reliableTick.cancel();
   reliable_->close();
-  Reactor* owned = nullptr;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    owned = impl_->ownedReactor.get();
-  }
-  if (owned) owned->stop();
+  if (ownedReactor_) ownedReactor_->stop();
 }
 
 void Dapplet::crash() {
@@ -283,23 +275,28 @@ void Dapplet::crash() {
   // graceful inverse (drain, then close).
   reliable_->close();
   impl_->reliableTick.cancel();  // after close: ticks are already no-ops
-  std::vector<std::jthread> workers;
+  if (!beginStop()) return;
+  if (ownedReactor_) ownedReactor_->stop();
+}
+
+bool Dapplet::beginStop() {
+  std::list<Impl::Worker> workers;
   {
     std::scoped_lock lock(impl_->mutex);
-    if (impl_->stopped) return;
+    if (impl_->stopped) return false;
     impl_->stopped = true;
     for (auto& [id, box] : impl_->inboxesById) box->close();
     workers.swap(impl_->workers);
   }
-  for (auto& worker : workers) worker.request_stop();
+  // Wakes spawned workers and every service's blocked callers (their stop
+  // callbacks run here, outside the dapplet lock).
+  impl_->stopSource.request_stop();
+  // Workers parked in timed clocked waits (heartbeat pacing, probe loops)
+  // re-check their stop tokens only when woken; under a virtual clock that
+  // wake must be routed, not waited out.
   clockSource_->interruptAll();
   workers.clear();  // joins
-  Reactor* owned = nullptr;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    owned = impl_->ownedReactor.get();
-  }
-  if (owned) owned->stop();
+  return true;
 }
 
 void Dapplet::addPeerFailureListener(PeerFailureListener listener) {

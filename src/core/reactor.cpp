@@ -52,6 +52,7 @@ struct Reactor::Loop {
   bool timersChanged = false;  ///< set on insert; re-evaluates a timed park
   bool stopping = false;
   Timer* running = nullptr;  ///< timer whose callback is executing now
+  std::size_t cancelWaiters = 0;  ///< cancel() calls parked on idleCv
   std::uint64_t nextSeq = 0;
   ClockSource* clk = nullptr;
   // Stats.
@@ -177,7 +178,11 @@ void Reactor::Impl::runLoop(Loop& loop, std::stop_token stop) {
   currentLoop = &loop;
   std::unique_lock lock(loop.m);
   while (true) {
-    while (!loop.ready.empty() && !stop.stop_requested()) {
+    // Run the tasks queued so far, then look at the wheel: tasks that
+    // re-post themselves (an inbox draining a flood) must not starve the
+    // timers sharing the loop, such as a dapplet's retransmission tick.
+    for (std::size_t batch = loop.ready.size();
+         batch != 0 && !stop.stop_requested(); --batch) {
       auto fn = std::move(loop.ready.front());
       loop.ready.pop_front();
       ++loop.tasksRun;
@@ -240,7 +245,9 @@ void Reactor::Impl::runLoop(Loop& loop, std::stop_token stop) {
       }
       lock.lock();
       loop.running = nullptr;
-      clk->notifyAll(loop.idleCv);
+      // Notify only a parked cancel(): under a virtual clock every routed
+      // notify also wakes the clock's scheduler, once per timer fired.
+      if (loop.cancelWaiters != 0) clk->notifyAll(loop.idleCv);
       const bool rearm = t->periodTicks != 0 &&
                          !t->cancelled.load(std::memory_order_acquire) &&
                          !loop.stopping;
@@ -393,8 +400,10 @@ void Reactor::TimerHandle::cancel() {
   // guarantees no further firing and no re-arm.
   if (Impl::currentLoop != nullptr) return;
   std::unique_lock lock(loop->m);
+  ++loop->cancelWaiters;
   loop->clk->wait(lock, loop->idleCv,
                   [&] { return loop->running != t.get(); });
+  --loop->cancelWaiters;
 }
 
 bool Reactor::TimerHandle::active() const {

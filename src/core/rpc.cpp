@@ -1,9 +1,9 @@
 #include "dapple/core/rpc.hpp"
 
-#include <atomic>
 #include <condition_variable>
 #include <mutex>
 
+#include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -15,19 +15,10 @@ constexpr const char* kRequestKind = "rpc.req";
 constexpr const char* kReplyKind = "rpc.rsp";
 }  // namespace
 
-struct RpcServer::Impl : std::enable_shared_from_this<RpcServer::Impl> {
-  explicit Impl(Dapplet& dapplet) : d(dapplet) {}
+struct RpcServer::Impl : ServiceCore {
+  Impl(Dapplet& dapplet, const std::string& inboxName)
+      : ServiceCore(dapplet, inboxName) {}
 
-  Dapplet& d;
-  Inbox* inbox = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable loopExited;
-  bool loopDone = false;
-  /// Reactor mode: requests are served from an Inbox::onMessage handler —
-  /// no serve thread.  Bound methods then run on a reactor loop and must
-  /// not block for long.
-  bool reactorMode = false;
   std::map<std::string, Method> methods;
   Stats stats;
 
@@ -103,68 +94,15 @@ struct RpcServer::Impl : std::enable_shared_from_this<RpcServer::Impl> {
     }
     sendReply(inboxRefFromValue(req->get("replyTo")), rsp);
   }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();  // ShutdownError ends the loop
-      try {
-        serveOne(del);
-      } catch (const ShutdownError&) {
-        throw;
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog) << d.name() << ": rpc dispatch error: "
-                                << e.what();
-      }
-    }
-  }
 };
 
 RpcServer::RpcServer(Dapplet& dapplet, const std::string& inboxName)
-    : impl_(std::make_shared<Impl>(dapplet)) {
-  impl_->inbox = &dapplet.createInbox(inboxName);
-  auto impl = impl_;
-  if (dapplet.config().runtime.reactor != nullptr) {
-    impl_->reactorMode = true;
-    impl_->inbox->onMessage([impl](Delivery del) {
-      try {
-        impl->serveOne(del);
-      } catch (const ShutdownError&) {
-        // Dapplet stopping under us; remaining requests drain harmlessly.
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog)
-            << impl->d.name() << ": rpc dispatch error: " << e.what();
-      }
-    });
-    return;
-  }
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->loopExited.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->loopExited.notify_all();
-  });
+    : impl_(std::make_shared<Impl>(dapplet, inboxName)) {
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->serveOne(del); });
 }
 
-RpcServer::~RpcServer() {
-  // onMessage(nullptr) returns only once any in-flight serveOne has
-  // finished — the reactor-mode equivalent of the loopExited wait below.
-  if (impl_->reactorMode) impl_->inbox->onMessage(nullptr);
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  if (impl_->reactorMode) return;
-  std::unique_lock lock(impl_->mutex);
-  impl_->loopExited.wait_for(lock, seconds(5),
-                             [&] { return impl_->loopDone; });
-}
+RpcServer::~RpcServer() { impl_->shutdown(); }
 
 void RpcServer::bind(const std::string& method, Method fn) {
   std::scoped_lock lock(impl_->mutex);

@@ -1,9 +1,9 @@
-#include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 
+#include "dapple/core/service.hpp"
 #include "dapple/core/session.hpp"
 #include "dapple/util/log.hpp"
 
@@ -127,9 +127,10 @@ void SessionContext::setResult(Value result) {
 
 // ===========================================================================
 
-struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
+struct SessionAgent::Impl : ServiceCore,
+                            std::enable_shared_from_this<SessionAgent::Impl> {
   Impl(Dapplet& dapplet, Config config)
-      : d(dapplet),
+      : ServiceCore(dapplet, kSessionControlInbox),
         cfg(std::move(config)),
         mInvitesAccepted(&d.metricsRegistry().counter("session.invites_accepted")),
         mInvitesRejected(&d.metricsRegistry().counter("session.invites_rejected")),
@@ -148,7 +149,6 @@ struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
         mPeersRejoined(&d.metricsRegistry().counter("recovery.peer_rejoined")),
         trace(&d.trace()) {}
 
-  Dapplet& d;
   Config cfg;
 
   // Counters registered once on the owning dapplet; a Stats struct mirror is
@@ -165,21 +165,14 @@ struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
   obs::Counter* mPeersRejoined;
   obs::TraceRing* trace;
 
-  mutable std::mutex mutex;
-  std::condition_variable loopExited;
-  bool loopDone = false;
-  /// Reactor mode (dapplet configured with runtime.reactor): control
-  /// messages are dispatched from an Inbox::onMessage handler and rejoin
-  /// retries are an after() chain — no dispatch thread, no retry threads.
-  bool reactorMode = false;
-  // Set by ~SessionAgent under `journalMutex`: background rejoin workers
-  // hold Impl alive past the agent (and past cfg.store, which is only
-  // guaranteed to outlive the *agent*), so journal access must stop here.
+  // Set by ~SessionAgent under `journalMutex`: role threads and rejoin
+  // retry steps hold Impl alive past the agent (and past cfg.store, which is
+  // only guaranteed to outlive the *agent*), so journal access must stop
+  // here.
   std::mutex journalMutex;
   bool closed = false;
-  /// Reactor-mode rejoin retry chains in flight, keyed by session id and
-  /// guarded by `journalMutex`.  Unlike the legacy spawn workers (joined in
-  /// Dapplet::stop), the shared reactor outlives the dapplet by contract, so
+  /// Rejoin retry chains in flight, keyed by session id and guarded by
+  /// `journalMutex`.  A shared reactor outlives the dapplet by contract, so
   /// every pending step's TimerHandle is retained here for ~SessionAgent to
   /// cancel — otherwise a step firing after teardown would touch the
   /// dangling `d` reference.
@@ -189,8 +182,6 @@ struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
   std::map<std::string, std::shared_ptr<SessionContext::Record>> sessions;
   InterferenceGuard interference;
   Stats stats;
-
-  Inbox* control = nullptr;
 
   // Cache of outboxes keyed by reply target, reused across sessions so each
   // initiator sees one FIFO stream from this agent.
@@ -232,12 +223,12 @@ struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
   /// the initiator unreachable and discarding the journaled session.
   static constexpr int kRejoinAttempts = 8;
 
-  /// Reactor-mode rejoin retry: one send per step, rescheduled through the
-  /// timer wheel with the same linear backoff the legacy thread loop uses.
-  /// Each step holds Impl alive via shared_from_this, but Impl's `d` is a
-  /// plain reference and the shared reactor outlives the dapplet by
-  /// contract, so every step re-checks `closed` before touching `d` and the
-  /// armed TimerHandle is retained in `rejoinTimers` — ~SessionAgent cancels
+  /// Rejoin retry: one send per step, rescheduled through the timer wheel
+  /// with a linear backoff (clock-routed, so virtual-time safe).  Each step
+  /// holds Impl alive via shared_from_this, but Impl's `d` is a plain
+  /// reference and a shared reactor outlives the dapplet by contract, so
+  /// every step re-checks `closed` before touching `d` and the armed
+  /// TimerHandle is retained in `rejoinTimers` — ~SessionAgent cancels
   /// it (cancel additionally waits out an in-flight step) so no step can run
   /// once the agent is gone.
   void rejoinRetryStep(std::shared_ptr<SessionContext::Record> rec,
@@ -316,20 +307,6 @@ struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
     std::scoped_lock lock(journalMutex);
     if (closed) return;  // the store may already be gone
     if (journaling()) cfg.store->erase(journalKey(sessionId));
-  }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = control->receive();  // throws ShutdownError at stop
-      try {
-        dispatch(del);
-      } catch (const ShutdownError&) {
-        throw;
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog)
-            << d.name() << ": control dispatch failed: " << e.what();
-      }
-    }
   }
 
   void dispatch(const Delivery& del) {
@@ -743,7 +720,7 @@ struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
       rj.sessionId = sessionId;
       rj.memberName = rec->memberName;
       rj.incarnation = cfg.incarnation;
-      rj.control = control->ref();
+      rj.control = inbox->ref();
       if (cfg.monitor != nullptr) rj.livenessRef = cfg.monitor->ref();
       mRejoinRequests->inc();
       {
@@ -755,41 +732,8 @@ struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
                       std::to_string(cfg.incarnation));
       // Retry until the initiator answers: the restart races MEMBER_DOWN
       // eviction and the initiator may still be mid-broadcast, so one send
-      // is not enough.  Backoff is linear and clock-routed (virtual-time
-      // safe).  Reactor mode walks the same schedule as a timer chain.
-      if (reactorMode) {
-        rejoinRetryStep(rec, rj, 0);
-      } else {
-        auto self = shared_from_this();
-        d.spawn([self, rec, rj](std::stop_token st) {
-          for (int attempt = 0;
-               attempt < kRejoinAttempts && !st.stop_requested(); ++attempt) {
-            {
-              std::scoped_lock lock(rec->mutex);
-              if (rec->rejoinAcked || rec->unlinked) return;
-            }
-            try {
-              self->reply(rec->initiatorReply, rj);
-            } catch (const Error&) {
-              self->resetReply(rec->initiatorReply);
-            }
-            self->d.clockSource().sleepFor(milliseconds(100) * (attempt + 1));
-          }
-          {
-            std::scoped_lock lock(rec->mutex);
-            if (rec->rejoinAcked || rec->unlinked) return;
-          }
-          {
-            std::scoped_lock lock(self->journalMutex);
-            if (self->closed) return;  // agent destroyed: leave the journal be
-          }
-          // No verdict: the initiator is gone or unreachable.  Give up and
-          // discard, as a headless session can never complete.
-          self->trace->emit("recovery", "rejoin.giveup", rec->sessionId);
-          self->eraseJournal(rec->sessionId);
-          self->unlinkLocal(rec, true);
-        });
-      }
+      // is not enough.
+      rejoinRetryStep(rec, rj, 0);
       out.push_back(sessionId);
     }
     return out;
@@ -864,7 +808,6 @@ struct SessionAgent::Impl : std::enable_shared_from_this<SessionAgent::Impl> {
 
 SessionAgent::SessionAgent(Dapplet& dapplet, Config config)
     : impl_(std::make_shared<Impl>(dapplet, std::move(config))) {
-  impl_->control = &dapplet.createInbox(kSessionControlInbox);
   // Failure hooks capture weak_ptrs: the monitor and the dapplet may both
   // outlive this agent, and neither supports callback removal.
   std::weak_ptr<Impl> weak = impl_;
@@ -888,60 +831,18 @@ SessionAgent::SessionAgent(Dapplet& dapplet, Config config)
           impl->unlinkLocal(rec, true);
         });
   }
-  auto impl = impl_;
-  if (dapplet.config().runtime.reactor != nullptr) {
-    // Reactor mode: control messages are dispatched straight from the
-    // inbox handler strand — same serialization guarantee as the legacy
-    // single dispatch thread, zero threads.  (Role functions registered via
-    // registerApp still run on spawned threads; they are arbitrary
-    // user code and may block.)
-    impl_->reactorMode = true;
-    impl_->control->onMessage([impl](Delivery del) {
-      try {
-        impl->dispatch(del);
-      } catch (const ShutdownError&) {
-        // Dapplet stopping under us; remaining messages drain harmlessly.
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog)
-            << impl->d.name() << ": control dispatch failed: " << e.what();
-      }
-    });
-    return;
-  }
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->loopExited.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->loopExited.notify_all();
-  });
+  // Control messages are dispatched one at a time from the inbox's handler
+  // strand.  Role functions registered via registerApp run on spawned
+  // threads: they are arbitrary user code and may block.
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
 SessionAgent::~SessionAgent() {
-  // Reactor mode: onMessage(nullptr) is the dispatch barrier — it returns
-  // only once any in-flight handler invocation has finished, the same
-  // guarantee the loopExited wait below gives for the legacy thread.
-  if (impl_->reactorMode) impl_->control->onMessage(nullptr);
-  // Close the control inbox so the dispatch loop exits, then wait for it;
-  // role threads hold their own shared_ptr to Impl and finish on their own.
-  try {
-    impl_->d.destroyInbox(kSessionControlInbox);
-  } catch (const Error&) {
-    // Dapplet already stopped.
-  }
-  std::unique_lock lock(impl_->mutex);
-  if (!impl_->reactorMode) {
-    impl_->loopExited.wait_for(lock, seconds(5),
-                               [&] { return impl_->loopDone; });
-  }
-  lock.unlock();
-  // Fence off the journal: rejoin retry workers may outlive this agent (and
+  // Dispatch barrier; role threads hold their own shared_ptr to Impl and
+  // finish on their own.
+  impl_->shutdown();
+  // Fence off the journal: role threads may outlive this agent (and
   // cfg.store only has to outlive the agent, not the dapplet).
   std::map<std::string, Reactor::TimerHandle> rejoinTimers;
   {
@@ -949,10 +850,10 @@ SessionAgent::~SessionAgent() {
     impl_->closed = true;
     rejoinTimers.swap(impl_->rejoinTimers);
   }
-  // Reactor mode: retire the rejoin retry chains.  `closed` stops any step
-  // from re-arming (or touching `d`), and cancel() waits out a step already
-  // in flight, so after this loop no chain callback runs again — required
-  // because the shared reactor outlives both this agent and the dapplet.
+  // Retire the rejoin retry chains.  `closed` stops any step from re-arming
+  // (or touching `d`), and cancel() waits out a step already in flight, so
+  // after this loop no chain callback runs again — required because a
+  // shared reactor outlives both this agent and the dapplet.
   for (auto& [id, handle] : rejoinTimers) handle.cancel();
 }
 
@@ -961,7 +862,7 @@ void SessionAgent::registerApp(const std::string& app, RoleFn role) {
   impl_->roles[app] = std::move(role);
 }
 
-InboxRef SessionAgent::controlRef() const { return impl_->control->ref(); }
+InboxRef SessionAgent::controlRef() const { return impl_->inbox->ref(); }
 
 InterferenceGuard& SessionAgent::guard() { return impl_->interference; }
 

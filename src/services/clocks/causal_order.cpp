@@ -1,12 +1,11 @@
 #include "dapple/services/clocks/causal_order.hpp"
 
-#include <condition_variable>
 #include <deque>
 #include <list>
 #include <mutex>
 
+#include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
-#include "dapple/util/log.hpp"
 
 namespace dapple {
 
@@ -18,17 +17,12 @@ constexpr const char* kMsg = "cob.msg";
 std::string key(std::size_t index) { return std::to_string(index); }
 }  // namespace
 
-struct CausalGroup::Impl {
+struct CausalGroup::Impl : ServiceCore {
   Impl(Dapplet& dapplet, std::string groupName)
-      : d(dapplet), name(std::move(groupName)) {}
+      : ServiceCore(dapplet, "cob." + groupName),
+        name(std::move(groupName)) {}
 
-  Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -81,7 +75,7 @@ struct CausalGroup::Impl {
           ++stats.delivered;
           it = holdback.erase(it);
           progressed = true;
-          cv.notify_all();
+          notifyAll();
         } else {
           ++it;
         }
@@ -101,42 +95,15 @@ struct CausalGroup::Impl {
     holdback.push_back(std::move(held));
     drainLocked();
   }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
-    }
-  }
 };
 
 CausalGroup::CausalGroup(Dapplet& dapplet, const std::string& name)
     : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("cob." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
-CausalGroup::~CausalGroup() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+CausalGroup::~CausalGroup() { impl_->shutdown(); }
 
 InboxRef CausalGroup::ref() const { return impl_->inbox->ref(); }
 
@@ -177,13 +144,9 @@ void CausalGroup::publish(const Value& payload) {
 
 CausalGroup::Delivered CausalGroup::take(Duration timeout) {
   std::unique_lock lock(impl_->mutex);
-  if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return !impl_->ready.empty() || impl_->loopDone;
-      })) {
+  if (!impl_->waitFor(lock, timeout,
+                      [&] { return !impl_->ready.empty(); })) {
     throw TimeoutError("causal group '" + impl_->name + "' take timed out");
-  }
-  if (impl_->ready.empty()) {
-    throw ShutdownError("causal group '" + impl_->name + "' stopped");
   }
   Delivered item = std::move(impl_->ready.front());
   impl_->ready.pop_front();

@@ -1,31 +1,23 @@
 #include "dapple/services/clocks/dist_mutex.hpp"
 
-#include <condition_variable>
 #include <mutex>
 #include <vector>
 
+#include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
-#include "dapple/util/log.hpp"
 
 namespace dapple {
 
 namespace {
-constexpr const char* kLog = "ra";
 constexpr const char* kRequest = "ra.request";
 constexpr const char* kReply = "ra.reply";
 }  // namespace
 
-struct DistributedMutex::Impl {
+struct DistributedMutex::Impl : ServiceCore {
   Impl(Dapplet& dapplet, std::string mutexName)
-      : d(dapplet), name(std::move(mutexName)) {}
+      : ServiceCore(dapplet, "ra." + mutexName), name(std::move(mutexName)) {}
 
-  Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
 
   std::vector<Outbox*> peerOutboxes;  // index-aligned; self slot is null
   std::size_t selfIndex = 0;
@@ -85,46 +77,19 @@ struct DistributedMutex::Impl {
       const auto ack = static_cast<std::uint64_t>(msg->get("ack").asInt());
       if (requesting && ack == myStamp.time && repliesPending > 0) {
         --repliesPending;
-        if (repliesPending == 0) cv.notify_all();
+        if (repliesPending == 0) notifyAll();
       }
-    }
-  }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      onMessage(del);
     }
   }
 };
 
 DistributedMutex::DistributedMutex(Dapplet& dapplet, const std::string& name)
     : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("ra." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->onMessage(del); });
 }
 
-DistributedMutex::~DistributedMutex() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+DistributedMutex::~DistributedMutex() { impl_->shutdown(); }
 
 InboxRef DistributedMutex::ref() const { return impl_->inbox->ref(); }
 
@@ -154,19 +119,19 @@ void DistributedMutex::acquire(Duration timeout) {
   impl_->myStamp = LamportStamp{impl_->d.clock().tick(), impl_->selfIndex};
   impl_->repliesPending = impl_->memberCount - 1;
   impl_->broadcastRequest();
-  if (impl_->repliesPending > 0 &&
-      !impl_->cv.wait_for(lock, timeout, [&] {
-        return impl_->repliesPending == 0 || impl_->loopDone;
-      })) {
+  bool granted = false;
+  try {
+    granted = impl_->waitFor(lock, timeout,
+                             [&] { return impl_->repliesPending == 0; });
+  } catch (const ShutdownError&) {
     impl_->requesting = false;
+    throw;
+  }
+  impl_->requesting = false;
+  if (!granted) {
     throw TimeoutError("distributed mutex '" + impl_->name +
                        "' acquire timed out");
   }
-  if (impl_->repliesPending > 0) {
-    impl_->requesting = false;
-    throw ShutdownError("distributed mutex '" + impl_->name + "' stopped");
-  }
-  impl_->requesting = false;
   impl_->inCs = true;
   ++impl_->stats.acquisitions;
 }

@@ -1,13 +1,12 @@
 #include "dapple/services/clocks/total_order.hpp"
 
-#include <condition_variable>
 #include <deque>
-#include <set>
 #include <map>
 #include <mutex>
+#include <set>
 
+#include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
-#include "dapple/util/log.hpp"
 
 namespace dapple {
 
@@ -16,17 +15,12 @@ constexpr const char* kMsg = "tob.msg";
 constexpr const char* kAck = "tob.ack";
 }  // namespace
 
-struct TotalOrderGroup::Impl {
+struct TotalOrderGroup::Impl : ServiceCore {
   Impl(Dapplet& dapplet, std::string groupName)
-      : d(dapplet), name(std::move(groupName)) {}
+      : ServiceCore(dapplet, "tob." + groupName),
+        name(std::move(groupName)) {}
 
-  Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -65,7 +59,7 @@ struct TotalOrderGroup::Impl {
       ready.push_back(holdback.begin()->second);
       holdback.erase(holdback.begin());
       ++stats.delivered;
-      cv.notify_all();
+      notifyAll();
     }
   }
 
@@ -112,42 +106,15 @@ struct TotalOrderGroup::Impl {
       drainLocked();
     }
   }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
-    }
-  }
 };
 
 TotalOrderGroup::TotalOrderGroup(Dapplet& dapplet, const std::string& name)
     : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("tob." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
-TotalOrderGroup::~TotalOrderGroup() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+TotalOrderGroup::~TotalOrderGroup() { impl_->shutdown(); }
 
 InboxRef TotalOrderGroup::ref() const { return impl_->inbox->ref(); }
 
@@ -185,14 +152,10 @@ LamportStamp TotalOrderGroup::publish(const Value& payload) {
 
 TotalOrderGroup::Delivered TotalOrderGroup::take(Duration timeout) {
   std::unique_lock lock(impl_->mutex);
-  if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return !impl_->ready.empty() || impl_->loopDone;
-      })) {
+  if (!impl_->waitFor(lock, timeout,
+                      [&] { return !impl_->ready.empty(); })) {
     throw TimeoutError("total-order group '" + impl_->name +
                        "' take timed out");
-  }
-  if (impl_->ready.empty()) {
-    throw ShutdownError("total-order group '" + impl_->name + "' stopped");
   }
   Delivered item = std::move(impl_->ready.front());
   impl_->ready.pop_front();

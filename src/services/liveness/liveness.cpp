@@ -1,11 +1,11 @@
 #include "dapple/services/liveness/liveness.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 
+#include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -16,9 +16,9 @@ constexpr const char* kLog = "liveness";
 constexpr const char* kHeartbeat = "live.hb";
 }  // namespace
 
-struct LivenessMonitor::Impl {
+struct LivenessMonitor::Impl : ServiceCore {
   Impl(Dapplet& dapplet, LivenessConfig cfg)
-      : d(dapplet),
+      : ServiceCore(dapplet, "live.ctl"),
         mSuspects(&d.metricsRegistry().counter("liveness.suspect_events")),
         mRecoveries(&d.metricsRegistry().counter("liveness.recovery_events")),
         mHbGapUs(&d.metricsRegistry().histogram("liveness.heartbeat_gap_us")),
@@ -31,27 +31,20 @@ struct LivenessMonitor::Impl {
                   : dapplet.config().liveness.suspectTimeout;
   }
 
-  Dapplet& d;
   /// All silence deadlines and beat pacing run on the dapplet's clock.
-  TimePoint now() const { return d.clockSource().now(); }
+  TimePoint now() const { return clock().now(); }
   obs::Counter* mSuspects;
   obs::Counter* mRecoveries;
   /// Observed inter-arrival gap between heartbeats from the same peer — the
   /// live measurement `suspectTimeout` must dominate (see DESIGN.md).
   obs::Histogram* mHbGapUs;
   obs::TraceRing* trace;
-  Inbox* inbox = nullptr;
   Duration interval{};
   Duration timeout{};
 
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
-
-  /// Reactor mode (dapplet configured with runtime.reactor): beats ride the
-  /// shared timer wheel and heartbeats arrive through Inbox::onMessage — no
-  /// beat thread at all.
-  bool reactorMode = false;
+  /// Beats ride the reactor's timer wheel: one at once, then one every
+  /// `interval`.
+  Reactor::TimerHandle firstBeat;
   Reactor::TimerHandle beatTimer;
 
   struct Watch {
@@ -135,7 +128,7 @@ struct LivenessMonitor::Impl {
         // resume if the peer heals.  Suspicion itself is silence-driven.
         out->reset();
       } catch (const Error&) {
-        // Endpoint closing down; the run loop will exit shortly.
+        // Endpoint closing down; the beat timer stops with the dapplet.
       }
     }
   }
@@ -152,86 +145,42 @@ struct LivenessMonitor::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    // Beats are paced by wall time, NOT by the receive loop: one iteration
-    // per incoming message would make every received heartbeat trigger an
-    // immediate multicast to all watches — a positive-feedback storm once
-    // several monitors watch each other.
-    TimePoint nextBeat = now();
-    while (!stop.stop_requested()) {
-      std::vector<Event> events;
-      if (now() >= nextBeat) {
-        beat(events);
-        nextBeat = now() + interval;
-      }
-      const Duration wait =
-          std::max(Duration::zero(), nextBeat - now());
-      // A quiet interval just means the next iteration beats.
-      if (auto del = inbox->receiveFor(wait)) {
-        const auto* msg = dynamic_cast<const DataMessage*>(del->message.get());
-        if (msg != nullptr && msg->kind() == kHeartbeat) {
-          onHeartbeat(del->srcNode, events);
-        }
-      }
-      fire(events);
-    }
+  void onMessage(const Delivery& del) {
+    const auto* msg = dynamic_cast<const DataMessage*>(del.message.get());
+    if (msg == nullptr || msg->kind() != kHeartbeat) return;
+    std::vector<Event> events;
+    onHeartbeat(del.srcNode, events);
+    fire(events);
+  }
+
+  void onBeat() {
+    std::vector<Event> events;
+    beat(events);
+    fire(events);
   }
 };
 
 LivenessMonitor::LivenessMonitor(Dapplet& dapplet, LivenessConfig config)
     : impl_(std::make_shared<Impl>(dapplet, config)) {
-  impl_->inbox = &dapplet.createInbox("live.ctl");
-  auto impl = impl_;
-  if (dapplet.config().runtime.reactor != nullptr) {
-    // Reactor mode: the beat is a wheel timer and heartbeats are handled
-    // event-driven — this monitor costs zero threads, which is what lets
-    // bench_swarm run a monitor per dapplet at 10k+ dapplets.
-    impl_->reactorMode = true;
-    impl_->inbox->onMessage([impl](Delivery del) {
-      const auto* msg = dynamic_cast<const DataMessage*>(del.message.get());
-      if (msg == nullptr || msg->kind() != kHeartbeat) return;
-      std::vector<Impl::Event> events;
-      impl->onHeartbeat(del.srcNode, events);
-      impl->fire(events);
-    });
-    impl_->beatTimer = dapplet.every(impl_->interval, [impl] {
-      std::vector<Impl::Event> events;
-      impl->beat(events);
-      impl->fire(events);
-    });
-    return;
-  }
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+  // Beats are paced by the timer wheel, NOT by arrivals: beating once per
+  // received heartbeat would make every heartbeat trigger an immediate
+  // multicast to all watches — a positive-feedback storm once several
+  // monitors watch each other.
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->onMessage(del); });
+  impl_->firstBeat =
+      dapplet.after(Duration::zero(), [impl = impl_] { impl->onBeat(); });
+  impl_->beatTimer =
+      dapplet.every(impl_->interval, [impl = impl_] { impl->onBeat(); });
 }
 
 LivenessMonitor::~LivenessMonitor() {
-  if (impl_->reactorMode) {
-    // Off-loop cancel() waits out an in-flight beat, and onMessage(nullptr)
-    // returns only once any running handler has finished — after these two
-    // lines nothing touches the watches again.
-    impl_->beatTimer.cancel();
-    impl_->inbox->onMessage(nullptr);
-  }
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  if (!impl_->reactorMode) {
-    impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-  }
+  // Off-loop cancel() waits out an in-flight beat, and shutdown() waits out
+  // a running handler — after these lines nothing touches the watches again.
+  impl_->firstBeat.cancel();
+  impl_->beatTimer.cancel();
+  impl_->shutdown();
+  std::scoped_lock lock(impl_->mutex);
   for (auto& [key, w] : impl_->watches) {
     try {
       impl_->d.destroyOutbox(*w.out);

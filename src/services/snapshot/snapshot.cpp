@@ -1,23 +1,19 @@
 #include "dapple/services/snapshot/snapshot.hpp"
 
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 
+#include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/fsio.hpp"
-#include "dapple/util/log.hpp"
 
 namespace dapple {
 
 namespace {
-
-constexpr const char* kLog = "snapshot";
 
 // CheckpointService message kinds.
 constexpr const char* kMaxQ = "ckpt.maxq";
@@ -47,20 +43,13 @@ Value describeDelivery(const Delivery& del) {
 // CheckpointService
 // ===========================================================================
 
-struct CheckpointService::Impl {
-  Impl(Dapplet& dapplet, StateFn fn) : d(dapplet), stateFn(std::move(fn)) {}
+struct CheckpointService::Impl : ServiceCore {
+  Impl(Dapplet& dapplet, StateFn fn)
+      : ServiceCore(dapplet, "ckpt.ctl"), stateFn(std::move(fn)) {}
 
-  Dapplet& d;
-  /// Gather waits, their notifies, and the settle pause pace on this clock.
-  ClockSource& clk() const { return d.clockSource(); }
   StateFn stateFn;
   /// Crash-recovery compaction hook (see onLocalCheckpoint).
   std::function<void(std::uint64_t)> localCkptHook;
-  Inbox* control = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -96,7 +85,7 @@ struct CheckpointService::Impl {
   }
 
   bool tap(Inbox& target, Delivery& del) {
-    if (&target == control) return false;  // service traffic is not state
+    if (&target == inbox) return false;  // service traffic is not state
     std::scoped_lock lock(mutex);
     if (recording && del.sentAt < recording->time) {
       // "the states of the channels are the sequences of messages sent on
@@ -125,7 +114,7 @@ struct CheckpointService::Impl {
       it->second.maxClock =
           std::max(it->second.maxClock,
                    static_cast<std::uint64_t>(msg->get("clock").asInt()));
-      if (--it->second.maxPending == 0) clk().notifyAll(cv);
+      if (--it->second.maxPending == 0) notifyAll();
     } else if (kind == kTake) {
       const auto time = static_cast<std::uint64_t>(msg->get("T").asInt());
       const auto snapId =
@@ -178,58 +167,26 @@ struct CheckpointService::Impl {
       const auto idx = static_cast<std::size_t>(msg->get("idx").asInt());
       it->second.snapshot.states[idx] = msg->get("state");
       it->second.snapshot.channels[idx] = msg->get("channel").asList();
-      if (--it->second.reportsPending == 0) clk().notifyAll(cv);
-    }
-  }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = control->receive();
-      try {
-        dispatch(del);
-      } catch (const ShutdownError&) {
-        throw;
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog) << d.name() << ": checkpoint dispatch: "
-                                << e.what();
-      }
+      if (--it->second.reportsPending == 0) notifyAll();
     }
   }
 };
 
 CheckpointService::CheckpointService(Dapplet& dapplet, StateFn stateFn)
     : impl_(std::make_shared<Impl>(dapplet, std::move(stateFn))) {
-  impl_->control = &dapplet.createInbox("ckpt.ctl");
   dapplet.setDeliveryTap([impl = impl_](Inbox& target, Delivery& del) {
     return impl->tap(target, del);
   });
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->clk().notifyAll(impl->cv);
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->clk().notifyAll(impl->cv);
-  });
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
 CheckpointService::~CheckpointService() {
   impl_->d.setDeliveryTap(nullptr);
-  try {
-    impl_->d.destroyInbox(*impl_->control);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
+  impl_->shutdown();
 }
 
-InboxRef CheckpointService::ref() const { return impl_->control->ref(); }
+InboxRef CheckpointService::ref() const { return impl_->inbox->ref(); }
 
 void CheckpointService::attach(const std::vector<InboxRef>& members,
                                std::size_t selfIndex) {
@@ -257,10 +214,9 @@ GlobalSnapshot CheckpointService::take(Duration settle, Duration timeout) {
   maxq.set("qid", Value(static_cast<long long>(snapId)));
   maxq.set("from", Value(static_cast<long long>(impl_->selfIndex)));
   impl_->broadcast(maxq);
-  if (!impl_->clk().waitFor(lock, impl_->cv, timeout, [&] {
-        return impl_->gathers.at(snapId).maxPending == 0 ||
-               impl_->loopDone;
-      }) || impl_->loopDone) {
+  if (!impl_->waitFor(lock, timeout, [&] {
+        return impl_->gathers.at(snapId).maxPending == 0;
+      })) {
     impl_->gathers.erase(snapId);
     throw TimeoutError("checkpoint: clock query timed out");
   }
@@ -277,7 +233,7 @@ GlobalSnapshot CheckpointService::take(Duration settle, Duration timeout) {
 
   // Phase 3: allow pre-T traffic to drain into channel recordings.
   lock.unlock();
-  impl_->clk().sleepFor(settle);
+  impl_->clock().sleepFor(settle);
   lock.lock();
 
   // Phase 4: gather reports.
@@ -285,10 +241,9 @@ GlobalSnapshot CheckpointService::take(Duration settle, Duration timeout) {
   report.set("snapId", Value(static_cast<long long>(snapId)));
   report.set("from", Value(static_cast<long long>(impl_->selfIndex)));
   impl_->broadcast(report);
-  if (!impl_->clk().waitFor(lock, impl_->cv, timeout, [&] {
-        return impl_->gathers.at(snapId).reportsPending == 0 ||
-               impl_->loopDone;
-      }) || impl_->loopDone) {
+  if (!impl_->waitFor(lock, timeout, [&] {
+        return impl_->gathers.at(snapId).reportsPending == 0;
+      })) {
     impl_->gathers.erase(snapId);
     throw TimeoutError("checkpoint: report gathering timed out");
   }
@@ -312,18 +267,11 @@ void CheckpointService::onLocalCheckpoint(
 // MarkerRegion
 // ===========================================================================
 
-struct MarkerRegion::Impl {
-  Impl(Dapplet& dapplet, StateFn fn) : d(dapplet), stateFn(std::move(fn)) {}
+struct MarkerRegion::Impl : ServiceCore {
+  Impl(Dapplet& dapplet, StateFn fn)
+      : ServiceCore(dapplet, "snap.ctl"), stateFn(std::move(fn)) {}
 
-  Dapplet& d;
-  /// Gather waits and their notifies pace on the dapplet's clock.
-  ClockSource& clk() const { return d.clockSource(); }
   StateFn stateFn;
-  Inbox* control = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -392,7 +340,7 @@ struct MarkerRegion::Impl {
   }
 
   bool tap(Inbox& target, Delivery& del) {
-    if (&target == control) return false;
+    if (&target == inbox) return false;
     const ChannelKey key{del.srcNode.packed(), del.srcOutbox};
     if (const auto* marker = dynamic_cast<const MarkerMsg*>(del.message.get())) {
       std::scoped_lock lock(mutex);
@@ -436,58 +384,26 @@ struct MarkerRegion::Impl {
       const auto idx = static_cast<std::size_t>(msg->get("idx").asInt());
       it->second.snapshot.states[idx] = msg->get("state");
       it->second.snapshot.channels[idx] = msg->get("channel").asList();
-      if (--it->second.reportsPending == 0) clk().notifyAll(cv);
-    }
-  }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = control->receive();
-      try {
-        dispatch(del);
-      } catch (const ShutdownError&) {
-        throw;
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog) << d.name() << ": marker dispatch: "
-                                << e.what();
-      }
+      if (--it->second.reportsPending == 0) notifyAll();
     }
   }
 };
 
 MarkerRegion::MarkerRegion(Dapplet& dapplet, StateFn stateFn)
     : impl_(std::make_shared<Impl>(dapplet, std::move(stateFn))) {
-  impl_->control = &dapplet.createInbox("snap.ctl");
   dapplet.setDeliveryTap([impl = impl_](Inbox& target, Delivery& del) {
     return impl->tap(target, del);
   });
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->clk().notifyAll(impl->cv);
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->clk().notifyAll(impl->cv);
-  });
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
 MarkerRegion::~MarkerRegion() {
   impl_->d.setDeliveryTap(nullptr);
-  try {
-    impl_->d.destroyInbox(*impl_->control);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
+  impl_->shutdown();
 }
 
-InboxRef MarkerRegion::ref() const { return impl_->control->ref(); }
+InboxRef MarkerRegion::ref() const { return impl_->inbox->ref(); }
 
 void MarkerRegion::attach(const std::vector<InboxRef>& members,
                           std::size_t selfIndex,
@@ -522,10 +438,9 @@ GlobalSnapshot MarkerRegion::take(Duration timeout) {
   for (std::size_t i = 0; i < impl_->peers.size(); ++i) {
     impl_->sendTo(i, start);
   }
-  if (!impl_->clk().waitFor(lock, impl_->cv, timeout, [&] {
-        return impl_->gathers.at(snapId).reportsPending == 0 ||
-               impl_->loopDone;
-      }) || impl_->loopDone) {
+  if (!impl_->waitFor(lock, timeout, [&] {
+        return impl_->gathers.at(snapId).reportsPending == 0;
+      })) {
     impl_->gathers.erase(snapId);
     throw TimeoutError("marker snapshot timed out");
   }

@@ -1,17 +1,14 @@
 #include "dapple/services/sync/distributed.hpp"
 
-#include <condition_variable>
 #include <map>
 #include <mutex>
 
+#include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
-#include "dapple/util/log.hpp"
 
 namespace dapple {
 
 namespace {
-constexpr const char* kLog = "dsync";
-
 constexpr const char* kArrive = "bar.arrive";
 constexpr const char* kRelease = "bar.release";
 
@@ -24,17 +21,12 @@ constexpr const char* kReject = "sav.reject";
 // DistributedBarrier
 // ===========================================================================
 
-struct DistributedBarrier::Impl {
+struct DistributedBarrier::Impl : ServiceCore {
   Impl(Dapplet& dapplet, std::string barrierName)
-      : d(dapplet), name(std::move(barrierName)) {}
+      : ServiceCore(dapplet, "bar." + barrierName),
+        name(std::move(barrierName)) {}
 
-  Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -63,15 +55,8 @@ struct DistributedBarrier::Impl {
       const auto gen = static_cast<std::uint64_t>(msg->get("gen").asInt());
       if (gen + 1 > releasedThrough) {
         releasedThrough = gen + 1;
-        cv.notify_all();
+        notifyAll();
       }
-    }
-  }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
     }
   }
 };
@@ -79,31 +64,11 @@ struct DistributedBarrier::Impl {
 DistributedBarrier::DistributedBarrier(Dapplet& dapplet,
                                        const std::string& name)
     : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("bar." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
-DistributedBarrier::~DistributedBarrier() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+DistributedBarrier::~DistributedBarrier() { impl_->shutdown(); }
 
 InboxRef DistributedBarrier::ref() const { return impl_->inbox->ref(); }
 
@@ -137,14 +102,10 @@ std::uint64_t DistributedBarrier::arriveAndWait(Duration timeout) {
   arrive.set("gen", Value(static_cast<long long>(gen)));
   arrive.set("idx", Value(static_cast<long long>(impl_->selfIndex)));
   impl_->peers[0]->send(arrive);  // coordinator (possibly self, loop-back)
-  if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return impl_->releasedThrough > gen || impl_->loopDone;
-      })) {
+  if (!impl_->waitFor(lock, timeout,
+                      [&] { return impl_->releasedThrough > gen; })) {
     throw TimeoutError("distributed barrier '" + impl_->name +
                        "' timed out at generation " + std::to_string(gen));
-  }
-  if (impl_->releasedThrough <= gen) {
-    throw ShutdownError("distributed barrier '" + impl_->name + "' stopped");
   }
   return gen;
 }
@@ -153,17 +114,11 @@ std::uint64_t DistributedBarrier::arriveAndWait(Duration timeout) {
 // DistributedSingleAssignment
 // ===========================================================================
 
-struct DistributedSingleAssignment::Impl {
+struct DistributedSingleAssignment::Impl : ServiceCore {
   Impl(Dapplet& dapplet, std::string varName)
-      : d(dapplet), name(std::move(varName)) {}
+      : ServiceCore(dapplet, "sav." + varName), name(std::move(varName)) {}
 
-  Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
-
-  mutable std::mutex mutex;
-  mutable std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -199,20 +154,13 @@ struct DistributedSingleAssignment::Impl {
         const auto winner =
             static_cast<std::size_t>(msg->get("winner").asInt());
         if (winner == selfIndex && !proposalWon) proposalWon = true;
-        cv.notify_all();
+        notifyAll();
       }
     } else if (msg->kind() == kReject) {
       if (!proposalWon) {
         proposalWon = false;
-        cv.notify_all();
+        notifyAll();
       }
-    }
-  }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
     }
   }
 };
@@ -220,30 +168,12 @@ struct DistributedSingleAssignment::Impl {
 DistributedSingleAssignment::DistributedSingleAssignment(
     Dapplet& dapplet, const std::string& name)
     : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("sav." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
 DistributedSingleAssignment::~DistributedSingleAssignment() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
+  impl_->shutdown();
 }
 
 InboxRef DistributedSingleAssignment::ref() const {
@@ -278,27 +208,19 @@ bool DistributedSingleAssignment::set(const Value& value) {
   propose.set("idx", Value(static_cast<long long>(impl_->selfIndex)));
   propose.set("value", value);
   impl_->peers[0]->send(propose);
-  if (!impl_->cv.wait_for(lock, seconds(30), [&] {
-        return impl_->proposalWon.has_value() || impl_->loopDone;
-      })) {
+  if (!impl_->waitFor(lock, seconds(30),
+                      [&] { return impl_->proposalWon.has_value(); })) {
     throw TimeoutError("single-assignment set timed out");
-  }
-  if (!impl_->proposalWon) {
-    throw ShutdownError("single-assignment '" + impl_->name + "' stopped");
   }
   return *impl_->proposalWon;
 }
 
 Value DistributedSingleAssignment::get(Duration timeout) const {
   std::unique_lock lock(impl_->mutex);
-  if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return impl_->value.has_value() || impl_->loopDone;
-      })) {
+  if (!impl_->waitFor(lock, timeout,
+                      [&] { return impl_->value.has_value(); })) {
     throw TimeoutError("single-assignment '" + impl_->name +
                        "' get timed out");
-  }
-  if (!impl_->value) {
-    throw ShutdownError("single-assignment '" + impl_->name + "' stopped");
   }
   return *impl_->value;
 }

@@ -1,9 +1,9 @@
 #include "dapple/services/termination/termination.hpp"
 
-#include <condition_variable>
 #include <mutex>
 #include <optional>
 
+#include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -13,15 +13,8 @@ namespace {
 constexpr const char* kAck = "td.ack";
 }  // namespace
 
-struct TerminationDetector::Impl {
-  explicit Impl(Dapplet& dapplet) : d(dapplet) {}
-
-  Dapplet& d;
-  Inbox* inbox = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
+struct TerminationDetector::Impl : ServiceCore {
+  explicit Impl(Dapplet& dapplet) : ServiceCore(dapplet, "td.ctl") {}
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -49,7 +42,7 @@ struct TerminationDetector::Impl {
     if (selfIndex == rootIndex) {
       engaged = false;
       rootTerminated = true;
-      cv.notify_all();
+      notifyAll();
       return;
     }
     engaged = false;
@@ -71,42 +64,15 @@ struct TerminationDetector::Impl {
     }
     tryDisengageLocked();
   }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
-    }
-  }
 };
 
 TerminationDetector::TerminationDetector(Dapplet& dapplet)
     : impl_(std::make_shared<Impl>(dapplet)) {
-  impl_->inbox = &dapplet.createInbox("td.ctl");
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
-TerminationDetector::~TerminationDetector() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+TerminationDetector::~TerminationDetector() { impl_->shutdown(); }
 
 InboxRef TerminationDetector::ref() const { return impl_->inbox->ref(); }
 
@@ -167,13 +133,9 @@ void TerminationDetector::awaitTermination(Duration timeout) {
   if (impl_->selfIndex != impl_->rootIndex) {
     throw SessionError("only the root awaits termination");
   }
-  if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return impl_->rootTerminated || impl_->loopDone;
-      })) {
+  if (!impl_->waitFor(lock, timeout,
+                      [&] { return impl_->rootTerminated; })) {
     throw TimeoutError("termination detection timed out");
-  }
-  if (!impl_->rootTerminated) {
-    throw ShutdownError("termination detector stopped");
   }
 }
 

@@ -1,7 +1,6 @@
 #include "dapple/services/tokens/token_manager.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "dapple/core/peer_monitor.hpp"
+#include "dapple/core/service.hpp"
 #include "dapple/core/state.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
@@ -102,9 +102,9 @@ TokenConfig TokenConfig::normalized(std::vector<std::string>* notes) const {
   return out;
 }
 
-struct TokenManager::Impl {
+struct TokenManager::Impl : ServiceCore {
   Impl(Dapplet& dapplet, TokenConfig config)
-      : d(dapplet),
+      : ServiceCore(dapplet, "tokens.mgr"),
         cfg(config),
         mGrants(&d.metricsRegistry().counter("tokens.grants_issued")),
         mDenied(&d.metricsRegistry().counter("tokens.requests_denied")),
@@ -116,13 +116,11 @@ struct TokenManager::Impl {
         gCreditOut(&d.metricsRegistry().gauge("tokens.credit_outstanding")),
         trace(&d.trace()) {}
 
-  Dapplet& d;
   const TokenConfig cfg;
   /// Request deadlines, probe pacing, lease expiry, and every cv
   /// wait/notify run on the dapplet's clock so virtual-time tests advance
   /// through them.
-  ClockSource& clk() const { return d.clockSource(); }
-  TimePoint now() const { return clk().now(); }
+  TimePoint now() const { return clock().now(); }
   // `requests_denied` counts deadlock verdicts and timeouts together — the
   // two ways a request() fails without a grant.
   obs::Counter* mGrants;
@@ -134,13 +132,7 @@ struct TokenManager::Impl {
   obs::Counter* mExpiries;
   obs::Gauge* gCreditOut;
   obs::TraceRing* trace;
-  Inbox* inbox = nullptr;
   std::weak_ptr<Impl> weakSelf;  // for timer/monitor callbacks
-
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
-  bool stopping = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -386,7 +378,7 @@ struct TokenManager::Impl {
   Duration renewLead() const { return cfg.leaseDuration / 2; }
 
   void armMaintenanceLocked() {
-    if (maintArmed || stopping) return;
+    if (maintArmed || stopped) return;
     maintArmed = true;
     std::weak_ptr<Impl> weak = weakSelf;
     maintTimer = d.every(cfg.maintenanceInterval, [weak] {
@@ -396,7 +388,7 @@ struct TokenManager::Impl {
 
   void maintenanceTick() {
     std::scoped_lock lock(mutex);
-    if (!attached || stopping) return;
+    if (!attached || stopped) return;
     const TimePoint t = now();
     try {
       memberTickLocked(t);
@@ -663,7 +655,7 @@ struct TokenManager::Impl {
       if (pending && pending->reqId == reqId && !pending->deadlocked &&
           pending->granted.size() < pending->wants.size()) {
         pending->deadlocked = true;
-        clk().notifyAll(cv);
+        notifyAll();
       }
       return;
     }
@@ -719,7 +711,7 @@ struct TokenManager::Impl {
       journalLeasesLocked();
     }
     pending->granted[color] = count;
-    clk().notifyAll(cv);
+    notifyAll();
   }
 
   void onErr(const DataMessage& msg) {
@@ -727,7 +719,7 @@ struct TokenManager::Impl {
     std::scoped_lock lock(mutex);
     if (!pending || pending->reqId != reqId) return;
     pending->error = msg.get("reason").asString();
-    clk().notifyAll(cv);
+    notifyAll();
   }
 
   // ---- lease protocol handlers -------------------------------------------
@@ -913,7 +905,7 @@ struct TokenManager::Impl {
     if (leaseId != 0) armMaintenanceLocked();
     journalLeasesLocked();
     trace->emit("tokens", "lease.restored", color);
-    clk().notifyAll(cv);
+    notifyAll();
   }
 
   void onTotalQ(const DataMessage& msg) {
@@ -949,7 +941,7 @@ struct TokenManager::Impl {
     for (const auto& [color, entry] : msg.get("colors").asMap()) {
       it->second.totals[color] = entry.at("total").asInt();
     }
-    if (--it->second.repliesPending == 0) clk().notifyAll(cv);
+    if (--it->second.repliesPending == 0) notifyAll();
   }
 
   void dispatch(const Delivery& del) {
@@ -986,35 +978,6 @@ struct TokenManager::Impl {
       onLeaseReq(*msg);
     } else if (kind == kLeaseGrant) {
       onLeaseGrant(*msg);
-    }
-  }
-
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      {
-        // The manager's ref is typically shared (e.g. over a session mesh)
-        // before every member has called attach(), so an eager peer's
-        // request can arrive while `peers` is still empty.  Hold the
-        // delivery until attach() — the inbox keeps queueing behind it, so
-        // FIFO order is preserved.
-        std::unique_lock lock(mutex);
-        while (!attached && !stopping && !stop.stop_requested()) {
-          clk().parkFor(lock, cv, milliseconds(50));
-        }
-        if (stopping) break;
-      }
-      if (stop.stop_requested()) break;
-      try {
-        dispatch(del);
-      } catch (const ShutdownError&) {
-        throw;
-      } catch (const std::exception& e) {
-        // Error subclasses and standard exceptions alike (a malformed
-        // message can surface std::out_of_range): log and keep serving.
-        DAPPLE_LOG(kWarn, kLog) << d.name() << ": token dispatch error: "
-                                << e.what();
-      }
     }
   }
 
@@ -1072,44 +1035,19 @@ TokenManager::TokenManager(Dapplet& dapplet, TokenConfig config) {
     impl_->trace->emit("tokens", "config.clamp", n);
     DAPPLE_LOG(kWarn, kLog) << dapplet.name() << ": " << n;
   }
-  impl_->inbox = &dapplet.createInbox("tokens.mgr");
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->clk().notifyAll(impl->cv);
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->clk().notifyAll(impl->cv);
-  });
 }
 
 TokenManager::~TokenManager() {
-  {
-    std::scoped_lock lock(impl_->mutex);
-    impl_->stopping = true;
-    impl_->clk().notifyAll(impl_->cv);
-  }
-  // Cancel the maintenance timer before tearing the inbox down: cancel()
-  // waits out an in-flight tick, so no callback touches impl state after
-  // this line.
+  // shutdown() marks the manager stopped first, so the maintenance timer
+  // can no longer re-arm; cancel() then waits out an in-flight tick, so no
+  // callback touches impl state after these lines.
+  impl_->shutdown();
   impl_->maintTimer.cancel();
   if (impl_->cfg.monitor != nullptr) {
     for (const auto& [key, index] : impl_->watchIndex) {
       impl_->cfg.monitor->unwatch(key);
     }
   }
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
 }
 
 InboxRef TokenManager::ref() const { return impl_->inbox->ref(); }
@@ -1146,7 +1084,6 @@ void TokenManager::attach(const std::vector<InboxRef>& managers,
       impl_->journalHomeLocked(color);
     }
     impl_->attached = true;
-    impl_->clk().notifyAll(impl_->cv);  // release a delivery parked by the loop
     // Re-lease every journaled loan under this boot's incarnation: the home
     // retires the dead incarnation's loan and covers the claim from it.
     for (const auto& [color, claim] : claims) {
@@ -1168,6 +1105,12 @@ void TokenManager::attach(const std::vector<InboxRef>& managers,
     }
     if (homeLoans) impl_->armMaintenanceLocked();
   }
+  // Serve from here on: a peer can learn this manager's ref and send before
+  // attach(), and those messages wait in the inbox until the handler is
+  // installed, which delivers them in order.
+  impl_->serve([impl = impl_.get()](const Delivery& del) {
+    impl->dispatch(del);
+  });
   // Failure-detector wiring: a suspect verdict reclaims the member's loans
   // without waiting out the lease.
   if (impl_->cfg.monitor != nullptr) {
@@ -1304,7 +1247,7 @@ void TokenManager::request(const TokenList& wants, Duration timeout) {
 
   const TimePoint deadline = impl_->now() + timeout;
   while (true) {
-    if (impl_->loopDone) {
+    if (impl_->stopped) {
       impl_->abortPendingLocked();
       throw ShutdownError("token manager stopped");
     }
@@ -1337,7 +1280,7 @@ void TokenManager::request(const TokenList& wants, Duration timeout) {
       impl_->sendProbesLocked();
       p.nextProbe = now + impl_->cfg.probeInterval;
     }
-    impl_->clk().parkUntil(lock, impl_->cv, std::min(deadline, p.nextProbe));
+    impl_->clock().parkUntil(lock, impl_->cv, std::min(deadline, p.nextProbe));
   }
   bool heldDirty = false, cacheDirty = false;
   for (const auto& [color, count] : impl_->pending->granted) {
@@ -1476,10 +1419,9 @@ TokenBag TokenManager::totalTokens(Duration timeout) {
   for (std::size_t i = 0; i < impl_->peers.size(); ++i) {
     impl_->sendTo(i, msg);
   }
-  const bool done = impl_->clk().waitFor(lock, impl_->cv, timeout, [&] {
-    return impl_->totalQueries.at(qid).repliesPending == 0 ||
-           impl_->loopDone;
-  }) && !impl_->loopDone;
+  const bool done = impl_->waitFor(lock, timeout, [&] {
+    return impl_->totalQueries.at(qid).repliesPending == 0;
+  });
   TokenBag totals = std::move(impl_->totalQueries.at(qid).totals);
   impl_->totalQueries.erase(qid);
   if (!done) throw TimeoutError("totalTokens query timed out");

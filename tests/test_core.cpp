@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <future>
+#include <string>
 #include <thread>
 
 #include "dapple/core/directory.hpp"
@@ -73,16 +76,6 @@ TEST(Inbox, TimedReceiveReportsTimeoutInReturnValue) {
   // Typed receive expects a decode target, so there the missed deadline IS
   // the failure.
   EXPECT_THROW(in.receiveAs<DataMessage>(milliseconds(30)), TimeoutError);
-}
-
-// The deprecated throwing overload keeps its contract for one release.
-TEST(Inbox, DeprecatedThrowingReceiveStillWorks) {
-  Pair p;
-  Inbox& in = p.b.createInbox("in");
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(in.receive(milliseconds(30)), TimeoutError);
-#pragma GCC diagnostic pop
 }
 
 TEST(Inbox, TryReceiveNonBlocking) {
@@ -357,6 +350,34 @@ TEST(Dapplet, StopIsIdempotentAndStopsWorkers) {
   EXPECT_TRUE(stopped);
   EXPECT_THROW(d.createInbox("x"), ShutdownError);
   EXPECT_THROW(d.spawn([](std::stop_token) {}), ShutdownError);
+}
+
+/// Virtual address-space size of this process, in KiB (/proc/self/status).
+long vmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+// A finished worker is joined and dropped on the next spawn(), so a
+// long-lived dapplet running short roles back to back does not keep one
+// thread stack (8 MiB of address space) per role it ever ran.
+TEST(Dapplet, SpawnReapsFinishedWorkers) {
+  SimNetwork net(2);
+  Dapplet d(net, "reaper");
+  const long before = vmSizeKb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 2000; ++i) {
+    std::promise<void> ran;
+    d.spawn([&ran](std::stop_token) { ran.set_value(); });
+    ran.get_future().wait();
+  }
+  EXPECT_LT(vmSizeKb() - before, 256 * 1024)
+      << "finished spawn workers were kept until stop()";
+  d.stop();
 }
 
 TEST(Dapplet, StatsCountTraffic) {

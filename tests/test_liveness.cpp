@@ -183,18 +183,18 @@ TEST(Liveness, ConfigInheritsFromDappletAndOverrides) {
   e.stop();
 }
 
-// The flat DappletConfig knobs are gone (one deprecation release after the
-// nested move); normalized() now only clamps runtime nonsense and folds the
-// reactor mode into the reliable layer.
-TEST(Liveness, NormalizedClampsRuntimeAndDefaultsHold) {
+// normalized() folds the one runtime into the reliable layer (every
+// dapplet ticks its endpoint from its reactor's wheel) and leaves the nested
+// liveness defaults alone.
+TEST(Liveness, NormalizedTicksOnTheReactorAndDefaultsHold) {
   SimNetwork net(906);
   DappletConfig cfg;
-  cfg.runtime.ownedThreads = 0;  // nonsense: clamped to 1
+  cfg.wireCodec = WireCodec::kBinary;
   Dapplet d(net, "d", cfg);
 
-  EXPECT_EQ(d.config().runtime.ownedThreads, 1u);
   EXPECT_EQ(d.config().runtime.reactor, nullptr);
-  EXPECT_FALSE(d.config().reliable.externalTick);
+  EXPECT_TRUE(d.config().reliable.externalTick);
+  EXPECT_EQ(d.config().reliable.codec, WireCodec::kBinary);
   // Nested liveness defaults survive normalization untouched.
   EXPECT_EQ(d.config().liveness.heartbeatInterval, milliseconds(50));
   EXPECT_EQ(d.config().liveness.suspectTimeout, milliseconds(250));

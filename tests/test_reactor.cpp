@@ -3,10 +3,13 @@
 // quantization (zero-delay fires next tick), self-cancel from inside a
 // callback, fixed-rate periodic re-arm, wheel cascades past one revolution
 // — and run the whole stack event-driven: dapplets on a shared reactor,
-// retransmission ticks on the wheel, deliveries through Inbox::onMessage.
+// retransmission ticks on the wheel, deliveries through Inbox::onMessage,
+// and every service's dispatch on the dapplet's reactor.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -16,8 +19,14 @@
 
 #include "dapple/core/dapplet.hpp"
 #include "dapple/core/reactor.hpp"
+#include "dapple/core/rpc.hpp"
+#include "dapple/core/session.hpp"
 #include "dapple/net/sim.hpp"
 #include "dapple/serial/data_message.hpp"
+#include "dapple/services/clocks/total_order.hpp"
+#include "dapple/services/liveness/liveness.hpp"
+#include "dapple/services/sync/distributed.hpp"
+#include "dapple/services/tokens/token_manager.hpp"
 #include "dapple/testkit/seed.hpp"
 #include "dapple/testkit/virtual_clock.hpp"
 #include "dapple/util/time.hpp"
@@ -351,17 +360,21 @@ TEST(ReactorDapplet, ReentrantOnMessageThrows) {
   EXPECT_FALSE(in.hasHandler());
 }
 
-// Without a configured reactor the async APIs lazily create a small owned
-// pool on the dapplet's clock; stop() shuts it down.
-TEST(ReactorDapplet, OwnedReactorIsLazyAndStopsWithDapplet) {
+// Without a configured reactor every dapplet owns a one-loop reactor on its
+// clock from construction: it paces the reliable tick and runs after(),
+// every() and inbox handlers, and stop() shuts it down.
+TEST(ReactorDapplet, OwnedReactorRunsFromConstructionAndStopsWithDapplet) {
   testkit::VirtualClock clock;
   SimNetwork::Options simOpts;
   simOpts.clock = &clock;
   SimNetwork net(testkit::testSeed(9), simOpts);
   DappletConfig cfg;
   cfg.clock = &clock;
-  Dapplet d(net, "lazy", cfg);
-  EXPECT_FALSE(d.config().reliable.externalTick);  // legacy timer thread
+  Dapplet d(net, "owned", cfg);
+  EXPECT_TRUE(d.config().reliable.externalTick);  // ticked from the wheel
+  EXPECT_EQ(d.reactor().threadCount(), 1u);
+  EXPECT_EQ(&d.reactor().clock(), static_cast<ClockSource*>(&clock));
+  EXPECT_EQ(d.reactor().stats().timersPending, 1u);  // the reliable tick
 
   std::promise<TimePoint> fired;
   TimePoint start;
@@ -372,8 +385,167 @@ TEST(ReactorDapplet, OwnedReactorIsLazyAndStopsWithDapplet) {
     d.after(milliseconds(4), [&] { fired.set_value(clock.now()); });
   }
   EXPECT_EQ(fired.get_future().get(), start + milliseconds(4));
-  EXPECT_EQ(&d.reactor().clock(), static_cast<ClockSource*>(&clock));
   d.stop();  // must also stop the owned reactor without deadlock
+  EXPECT_FALSE(d.after(milliseconds(1), [] {}).active());
+}
+
+// === one runtime: services on the reactor ==================================
+
+/// Live OS threads of this process.
+std::size_t osThreads() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// The services a typical session member runs, on one dapplet.
+struct ServiceHost {
+  explicit ServiceHost(Dapplet& d)
+      : agent(d), monitor(d), rpc(d), tokens(d) {
+    tokens.attach({tokens.ref()}, 0, {{"gold", 1}});
+  }
+  SessionAgent agent;
+  LivenessMonitor monitor;
+  RpcServer rpc;
+  TokenManager tokens;
+};
+
+// Every service handles its inbox on the dapplet's reactor, so a
+// default-config dapplet hosting an agent, a monitor, an RPC server and an
+// attached token manager costs one thread — its reactor loop.
+TEST(OneRuntime, DefaultDappletWithServicesAddsOneThread) {
+  SimNetwork net(testkit::testSeed(17));
+  const std::size_t before = osThreads();
+  {
+    Dapplet d(net, "host");
+    ServiceHost services(d);
+    EXPECT_EQ(osThreads(), before + 1);
+  }
+  EXPECT_EQ(osThreads(), before);
+}
+
+// On a shared reactor the same dapplet adds no thread at all.
+TEST(OneRuntime, SharedReactorDappletWithServicesAddsNoThread) {
+  SimNetwork net(testkit::testSeed(18));
+  Reactor::Options opts;
+  opts.threads = 1;
+  Reactor reactor(opts);
+  const std::size_t before = osThreads();
+  DappletConfig cfg;
+  cfg.runtime.reactor = &reactor;
+  Dapplet d(net, "host", cfg);
+  {
+    ServiceHost services(d);
+    EXPECT_EQ(osThreads(), before);
+  }
+  d.stop();
+}
+
+/// Runs `call` on a spawned worker of `d`, stops `d` from another thread
+/// once the call is blocked, and reports how the call ended — "shutdown"
+/// for the ShutdownError every blocked service caller must get — or
+/// "not prompt" when it had not ended 5 s (wall) after the stop began.
+std::string stopWhileBlocked(Dapplet& d, const std::function<void()>& call) {
+  std::atomic<bool> entered{false};
+  std::promise<std::string> outcome;
+  d.spawn([&](std::stop_token) {
+    entered = true;
+    try {
+      call();
+      outcome.set_value("returned");
+    } catch (const ShutdownError&) {
+      outcome.set_value("shutdown");
+    } catch (const std::exception& e) {
+      outcome.set_value(e.what());
+    }
+  });
+  while (!entered) std::this_thread::sleep_for(milliseconds(1));
+  std::this_thread::sleep_for(milliseconds(50));  // let it park in the call
+  std::thread stopper([&d] { d.stop(); });
+  auto result = outcome.get_future();
+  const bool prompt =
+      result.wait_for(seconds(5)) == std::future_status::ready;
+  stopper.join();
+  return prompt ? result.get() : "not prompt";
+}
+
+/// One dapplet (host 1) with a barrier whose other member never arrives, a
+/// total-order group nobody publishes to, and a token manager whose only
+/// token is already held: each service call below blocks until the stop.
+struct BlockedServices {
+  explicit BlockedServices(ClockSource* clock)
+      : net(testkit::testSeed(19), simOptions(clock)),
+        d(net, "blocked", config(clock, 1)),
+        peer(net, "peer", config(clock, 2)),
+        barrier(d, "b"),
+        peerBarrier(peer, "b"),
+        group(d, "g"),
+        tokens(d) {
+    const std::vector<InboxRef> members{peerBarrier.ref(), barrier.ref()};
+    barrier.attach(members, 1);
+    peerBarrier.attach(members, 0);
+    group.attach({group.ref()}, 0);
+    tokens.attach({tokens.ref()}, 0, {{"gold", 1}});
+    tokens.request({{"gold", 1}}, seconds(30));  // held by the test thread
+  }
+
+  static SimNetwork::Options simOptions(ClockSource* clock) {
+    SimNetwork::Options opts;
+    opts.clock = clock;
+    return opts;
+  }
+  static DappletConfig config(ClockSource* clock, std::uint32_t host) {
+    DappletConfig cfg;
+    cfg.host = host;
+    cfg.clock = clock;
+    return cfg;
+  }
+
+  SimNetwork net;
+  Dapplet d;
+  Dapplet peer;
+  DistributedBarrier barrier;
+  DistributedBarrier peerBarrier;
+  TotalOrderGroup group;
+  TokenManager tokens;
+};
+
+TEST(OneRuntime, BlockedServiceCallersGetShutdownErrorOnSystemClock) {
+  for (int which = 0; which < 3; ++which) {
+    SCOPED_TRACE(which);
+    BlockedServices rig(nullptr);
+    const std::function<void()> calls[] = {
+        [&] { rig.tokens.request({{"gold", 1}}, seconds(30)); },
+        [&] { rig.barrier.arriveAndWait(seconds(30)); },
+        [&] { rig.group.take(seconds(30)); },
+    };
+    EXPECT_EQ(stopWhileBlocked(rig.d, calls[which]), "shutdown");
+  }
+}
+
+// Under a virtual clock the test thread holds time still, so the stop lands
+// at the very instant the call blocked: the ShutdownError comes from the
+// stop, not from a timeout elapsing in virtual time.
+TEST(OneRuntime, BlockedServiceCallersGetShutdownErrorOnVirtualClock) {
+  for (int which = 0; which < 3; ++which) {
+    SCOPED_TRACE(which);
+    testkit::VirtualClock clock;
+    BlockedServices rig(&clock);
+    const std::function<void()> calls[] = {
+        [&] { rig.tokens.request({{"gold", 1}}, seconds(30)); },
+        [&] { rig.barrier.arriveAndWait(seconds(30)); },
+        [&] { rig.group.take(seconds(30)); },
+    };
+    clock.announceWorker();  // see ZeroDelayTimerFiresOnNextTick
+    ClockSource::WorkerScope holdTime(clock);
+    const TimePoint start = clock.now();
+    EXPECT_EQ(stopWhileBlocked(rig.d, calls[which]), "shutdown");
+    EXPECT_EQ(clock.now(), start);
+  }
 }
 
 }  // namespace

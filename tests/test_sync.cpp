@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "dapple/net/sim.hpp"
 #include "dapple/services/sync/distributed.hpp"
 #include "dapple/services/sync/local.hpp"
+#include "dapple/testkit/seed.hpp"
+#include "dapple/testkit/virtual_clock.hpp"
 
 namespace dapple {
 namespace {
@@ -250,6 +254,98 @@ TEST(DistributedBarrier, TimesOutWhenAMemberNeverArrives) {
   BarrierRig rig(2);
   EXPECT_THROW(rig.barriers[0]->arriveAndWait(milliseconds(200)),
                TimeoutError);
+}
+
+/// Two barrier members on a virtual clock, one per host, over a 20 ms link.
+struct VirtualBarrierRig {
+  VirtualBarrierRig() : net(testkit::testSeed(321), simOptions(clock)) {
+    net.setDefaultLink(LinkParams{milliseconds(20)});
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      DappletConfig cfg;
+      cfg.host = i + 1;
+      cfg.clock = &clock;
+      dapplets.push_back(
+          std::make_unique<Dapplet>(net, "vb" + std::to_string(i), cfg));
+      barriers.push_back(
+          std::make_unique<DistributedBarrier>(*dapplets.back(), "b"));
+    }
+    const std::vector<InboxRef> refs{barriers[0]->ref(), barriers[1]->ref()};
+    for (std::size_t i = 0; i < 2; ++i) barriers[i]->attach(refs, i);
+  }
+
+  ~VirtualBarrierRig() {
+    barriers.clear();
+    for (auto& d : dapplets) d->stop();
+  }
+
+  static SimNetwork::Options simOptions(testkit::VirtualClock& clock) {
+    SimNetwork::Options opts;
+    opts.clock = &clock;
+    return opts;
+  }
+
+  /// Runs arriveAndWait(timeout) on a spawned worker of member `i`; the
+  /// future yields the virtual time it returned at, or its exception.
+  std::future<TimePoint> arrive(std::size_t i, Duration timeout) {
+    auto done = std::make_shared<std::promise<TimePoint>>();
+    auto result = done->get_future();
+    dapplets[i]->spawn([this, i, timeout, done](std::stop_token) {
+      try {
+        barriers[i]->arriveAndWait(timeout);
+        done->set_value(clock.now());
+      } catch (...) {
+        done->set_exception(std::current_exception());
+      }
+    });
+    return result;
+  }
+
+  testkit::VirtualClock clock;
+  SimNetwork net;
+  std::vector<std::unique_ptr<Dapplet>> dapplets;
+  std::vector<std::unique_ptr<DistributedBarrier>> barriers;
+};
+
+// The barrier waits on the dapplet's clock, so virtual time advances to the
+// RELEASE a round trip later instead of two spawned workers burning their
+// whole timeout in wall time while virtual time stands still.
+TEST(DistributedBarrier, ReleaseArrivesInVirtualTime) {
+  VirtualBarrierRig rig;
+  const Stopwatch wall;
+  TimePoint start;
+  std::future<TimePoint> a, b;
+  {
+    // Hold virtual time still from `start` until both workers are up.
+    rig.clock.announceWorker();
+    ClockSource::WorkerScope arming(rig.clock);
+    start = rig.clock.now();
+    a = rig.arrive(0, seconds(3));
+    b = rig.arrive(1, seconds(3));
+  }
+  const TimePoint releasedA = a.get();
+  const TimePoint releasedB = b.get();
+  EXPECT_GE(releasedB - start, milliseconds(40));  // ARRIVE + RELEASE hops
+  EXPECT_LT(releasedA - start, seconds(1));
+  EXPECT_LT(releasedB - start, seconds(1));
+  EXPECT_LT(wall.elapsed(), seconds(2));
+}
+
+// A member that never arrives: the other's timeout elapses in virtual
+// time, at once on the wall.
+TEST(DistributedBarrier, TimeoutElapsesInVirtualTime) {
+  VirtualBarrierRig rig;
+  const Stopwatch wall;
+  TimePoint start;
+  std::future<TimePoint> a;
+  {
+    rig.clock.announceWorker();
+    ClockSource::WorkerScope arming(rig.clock);
+    start = rig.clock.now();
+    a = rig.arrive(0, seconds(3));
+  }
+  EXPECT_THROW(a.get(), TimeoutError);
+  EXPECT_GE(rig.clock.now() - start, seconds(3));
+  EXPECT_LT(wall.elapsed(), seconds(2));
 }
 
 // ---------------------------------------------------------------------------
