@@ -38,11 +38,15 @@ namespace dapple {
 ///
 /// The sender is adaptive (DESIGN.md §11): the retransmission timeout is
 /// estimated per peer (Jacobson SRTT/RTTVAR, Karn's rule) and each stream
-/// runs a slow-start + AIMD congestion window.  The *fixed-RTO, unwindowed*
-/// behaviour of the original layer is still expressible through this struct
-/// — pin `minRto == rto == maxRto` and raise `initialCwnd`/`maxCwnd` past
-/// the offered load — which is exactly how `bench_transport` reproduces the
-/// old sender as its baseline.
+/// runs a slow-start + AIMD congestion window: a loss halves it, once per
+/// flight, and a timer expiry with no ack for the stream since the lost
+/// frame was last sent restarts it at one frame.  The *fixed-RTO,
+/// unwindowed* behaviour of the original layer is still expressible through
+/// this struct — pin `minRto == rto == maxRto` and raise
+/// `initialCwnd`/`maxCwnd` so far past the offered load that halving never
+/// brings the window down to it — which is exactly how `bench_transport`
+/// reproduces the old sender as its baseline (a dark path still collapses
+/// it to one frame).
 struct ReliableConfig {
   /// Timer granularity for the retransmission scan.
   Duration tickInterval = milliseconds(5);
@@ -226,6 +230,11 @@ class ReliableEndpoint {
     /// Frames admitted but parked behind the congestion window instead of
     /// transmitted immediately.
     std::uint64_t windowDeferred = 0;
+    /// Multiplicative window decreases (at most one per flight).
+    std::uint64_t windowCuts = 0;
+    /// The cuts that restarted the window at one frame: a timer expiry with
+    /// no ack for the stream since the lost frame was last transmitted.
+    std::uint64_t windowCollapses = 0;
     /// Payload bytes of first transmissions / of resends / handed to the
     /// DeliverFn.  retransmitBytes / dataBytes is the retransmit-efficiency
     /// ratio the fuzz oracle and bench_transport bound.

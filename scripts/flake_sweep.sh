@@ -4,8 +4,8 @@
 #
 # Runs `ctest --repeat until-fail:N -j$(nproc)` over the transport-matrix
 # gate (`bench_transport_matrix`) and every test labelled `faults`,
-# `recovery`, `tokens`, `services` or `reactor`, all in one ctest pass so
-# they load each other.
+# `recovery`, `tokens`, `services`, `reactor` or `transport`, all in one
+# ctest pass so they load each other.
 # Each test repeats until it fails or has passed N times; the script exits
 # non-zero, printing the failing run's output, if any test failed.
 #
@@ -21,7 +21,7 @@ BUILD_DIR="${2:-build}"
 # ctest ANDs -L with -R, so collect the union by name and select it with one
 # anchored, escaped alternation.
 names=$({
-  ctest --test-dir "$BUILD_DIR" -N -L '^(faults|recovery|tokens|services|reactor)$'
+  ctest --test-dir "$BUILD_DIR" -N -L '^(faults|recovery|tokens|services|reactor|transport)$'
   ctest --test-dir "$BUILD_DIR" -N -R '^bench_transport_matrix$'
 } | sed -n 's/^ *Test *#[0-9]*: //p')
 if [ -z "$names" ]; then

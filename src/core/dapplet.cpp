@@ -327,6 +327,8 @@ obs::MetricsSnapshot Dapplet::metrics() const {
   snap.counters["reliable.fast_retransmits"] += rs.fastRetransmits;
   snap.counters["reliable.rtt_samples"] += rs.rttSamples;
   snap.counters["reliable.window_deferred"] += rs.windowDeferred;
+  snap.counters["reliable.window_cuts"] += rs.windowCuts;
+  snap.counters["reliable.window_collapses"] += rs.windowCollapses;
   snap.counters["reliable.data_bytes"] += rs.dataBytes;
   snap.counters["reliable.retransmit_bytes"] += rs.retransmitBytes;
   snap.counters["reliable.delivered_bytes"] += rs.deliveredBytes;

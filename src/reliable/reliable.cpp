@@ -229,6 +229,10 @@ struct ReliableEndpoint::Impl {
     double cwnd = 0;          ///< seeded from cfg.initialCwnd on creation
     double ssthresh = 0;      ///< slow start below, additive increase above
     std::uint64_t recoverSeq = 0;  ///< no second window cut until acks pass
+    /// Ack clock: arrival of the last ack block for the current epoch.  A
+    /// timer expiry restarts the window at one frame only when no block has
+    /// arrived since the expiring frame was last transmitted.
+    TimePoint lastAckAt{};
     struct Pending {
       /// Per-destination head + refcounted shared body.  Retransmit state
       /// holds a reference, not a frame copy; the wire bytes (frame header
@@ -358,13 +362,16 @@ struct ReliableEndpoint::Impl {
 
   /// One multiplicative decrease per flight: frames below recoverSeq were in
   /// flight when the window was last cut and do not cut it again.
-  void lossCutLocked(SendStream& ss, std::uint64_t seq, bool timerExpiry) {
+  void lossCutLocked(SendStream& ss, std::uint64_t seq, bool acksStopped) {
     if (seq < ss.recoverSeq) return;
     ss.ssthresh = std::max(ss.cwnd / 2, 2.0);
-    // Timer expiry means the pipe drained: restart from one frame.  Dup-SACK
-    // evidence means later frames still arrive: resume at half.
-    ss.cwnd = timerExpiry ? 1.0 : ss.ssthresh;
+    // No ack since the lost frame left means the pipe drained: restart from
+    // one frame (RFC 5681 §3.1).  A loss found while acks still flow —
+    // dup-SACK evidence or a timer behind a live ack clock — resumes at half.
+    ss.cwnd = acksStopped ? 1.0 : ss.ssthresh;
     ss.recoverSeq = ss.nextSeq;
+    ++stats.windowCuts;
+    if (acksStopped) ++stats.windowCollapses;
     if (mCwnd != nullptr) mCwnd->set(static_cast<std::int64_t>(ss.cwnd));
   }
 
@@ -597,6 +604,7 @@ struct ReliableEndpoint::Impl {
         if (it == sendStreams.end()) continue;
         SendStream& ss = it->second;
         if (b.epoch != ss.epoch) continue;  // ack for a previous epoch
+        ss.lastAckAt = now;
         std::size_t newlyAcked = 0;
         // cumAck = receiver's nextExpected: everything below is delivered.
         const auto ackedEnd = ss.pending.lower_bound(b.cumAck);
@@ -630,7 +638,7 @@ struct ReliableEndpoint::Impl {
             if (p.retransmitted) continue;    // timer or fast path already did
             if (++p.dupEvidence < cfg.fastRetransmitDups) continue;
             if (now - p.enqueued > cfg.deliveryTimeout) continue;  // doomed
-            lossCutLocked(ss, seq, /*timerExpiry=*/false);
+            lossCutLocked(ss, seq, /*acksStopped=*/false);
             p.retransmitted = true;
             p.backoff = rtoForLocked(src);
             p.nextResend = now + p.backoff;
@@ -698,7 +706,8 @@ struct ReliableEndpoint::Impl {
         // ---- phase 2: timer-driven retransmissions ----------------------
         for (auto& [seq, pending] : ss.pending) {
           if (now < pending.nextResend) continue;
-          lossCutLocked(ss, seq, /*timerExpiry=*/true);
+          lossCutLocked(ss, seq,
+                        /*acksStopped=*/ss.lastAckAt <= pending.lastSent);
           pending.retransmitted = true;
           pending.backoff = std::min(pending.backoff * 2, cfg.maxRto);
           pending.nextResend = now + pending.backoff;
@@ -910,6 +919,7 @@ void ReliableEndpoint::resetStream(const NodeAddress& dst,
     it->second.cwnd = static_cast<double>(impl_->cfg.initialCwnd);
     it->second.ssthresh = static_cast<double>(impl_->cfg.maxCwnd);
     it->second.recoverSeq = 0;
+    it->second.lastAckAt = TimePoint{};
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the core messaging layer: inboxes, outboxes, dapplets, named
 // addressing, the Lamport clock criterion, persistent state, and RPC.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -424,7 +425,8 @@ TEST(Directory, ValueRoundTrip) {
 
 TEST(StateStore, PersistsAcrossInstances) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "dapple_state_test.wire")
+      (std::filesystem::temp_directory_path() /
+       ("dapple_state_test_" + std::to_string(::getpid()) + ".wire"))
           .string();
   std::filesystem::remove(path);
   {

@@ -265,6 +265,69 @@ TEST(ObsWiring, FastRetransmitsCountedOnce) {
   b.stop();
 }
 
+TEST(ObsWiring, WindowCutsAndCollapsesCountedOnce) {
+  // Two losses on one channel.  The first is found by dup-SACK evidence
+  // while acks flow: a cut that halves the window.  The second is a frame
+  // sent into a dark path, whose timer expires with no ack since: a cut
+  // that collapses the window to one frame.  The snapshot reports each
+  // count exactly as the transport keeps it.
+  testkit::VirtualClock clock;
+  SimNetwork::Options netOpts;
+  netOpts.clock = &clock;
+  SimNetwork net(781, netOpts);
+  const LinkParams clean{milliseconds(1), microseconds(0), 0.0, 0.0};
+  net.setDefaultLink(clean);
+  DappletConfig cfg;
+  cfg.clock = &clock;
+  cfg.reliable.tickInterval = milliseconds(2);
+  cfg.reliable.rto = seconds(10);
+  cfg.reliable.minRto = seconds(10);
+  cfg.reliable.maxRto = seconds(10);
+  cfg.reliable.deliveryTimeout = seconds(60);
+  cfg.reliable.initialCwnd = 64;
+  cfg.host = 1;
+  Dapplet a(net, "a", cfg);
+  cfg.host = 2;
+  Dapplet b(net, "b", cfg);
+  Inbox& in = b.createInbox("in");
+  Outbox& out = a.createOutbox();
+  out.add(in.ref());
+
+  constexpr int kMessages = 31;
+  for (int i = 0; i < kMessages; ++i) {
+    net.setHostLink(1, 2, i == 10 ? LinkParams{milliseconds(1),
+                                               microseconds(0), 1.0, 0.0}
+                                  : clean);
+    DataMessage m("n");
+    m.set("i", Value(static_cast<long long>(i)));
+    out.send(m);
+  }
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_EQ(in.receiveAs<DataMessage>(seconds(30)).get("i").asInt(), i);
+  }
+  ASSERT_TRUE(a.flush(seconds(30)));
+  clock.sleepFor(milliseconds(50));  // the last acks are home
+
+  net.setPartition(1, 2, true);
+  DataMessage dark("n");
+  dark.set("i", Value(static_cast<long long>(kMessages)));
+  out.send(dark);
+  clock.sleepFor(seconds(11));  // one timer expiry into the dark
+  net.setPartition(1, 2, false);
+  EXPECT_EQ(in.receiveAs<DataMessage>(seconds(30)).get("i").asInt(),
+            kMessages);
+
+  const ReliableEndpoint::Stats stats = a.transport().stats();
+  EXPECT_EQ(stats.windowCuts, 2u);
+  EXPECT_EQ(stats.windowCollapses, 1u);
+  const obs::MetricsSnapshot snap = a.metrics();
+  EXPECT_EQ(snap.counters.at("reliable.window_cuts"), stats.windowCuts);
+  EXPECT_EQ(snap.counters.at("reliable.window_collapses"),
+            stats.windowCollapses);
+  a.stop();
+  b.stop();
+}
+
 TEST(ObsWiring, SessionCountersAndPhaseLatencies) {
   SimNetwork net(778);
   Dapplet m0(net, "m0");

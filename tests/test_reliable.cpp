@@ -6,6 +6,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string_view>
 #include <vector>
@@ -408,6 +409,10 @@ namespace {
 /// so setPartition(1, 2, ...) can cut the path between them.
 struct VirtualDuo {
   testkit::VirtualClock clock;
+  /// Set by `holdTime`: the test thread is a clock worker from before any
+  /// timer or delivery thread is announced, so virtual time moves only
+  /// while it waits on the clock.  Reset it before a wall-time wait.
+  std::unique_ptr<ClockSource::WorkerScope> mainIsWorker;
   SimNetwork net;
   ReliableEndpoint a;
   ReliableEndpoint b;
@@ -415,8 +420,12 @@ struct VirtualDuo {
   explicit VirtualDuo(std::uint64_t seed, ReliableConfig cfg,
                       LinkParams link = LinkParams{microseconds(50),
                                                    microseconds(0), 0.0,
-                                                   0.0})
-      : net(seed,
+                                                   0.0},
+                      bool holdTime = false)
+      : mainIsWorker(holdTime
+                         ? std::make_unique<ClockSource::WorkerScope>(clock)
+                         : nullptr),
+        net(seed,
             [this] {
               SimNetwork::Options o;
               o.clock = &clock;
@@ -580,6 +589,86 @@ TEST(ReliableAdaptive, TimerExpiryCollapsesWindowAndRecoveryRegrows) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(got[32 + i], "dark-" + std::to_string(i));
   }
+}
+
+TEST(ReliableAdaptive, TimerExpiryWhileAcksFlowHalvesWindow) {
+  // Fast retransmit is off, so only the timer can repair the one dropped
+  // frame.  The three frames behind it are acked (~44 ms) long before its
+  // timer fires (100 ms): the stream's ack clock is still running, so the
+  // loss halves the window instead of restarting it at one frame.
+  ReliableConfig cfg;
+  cfg.tickInterval = milliseconds(2);
+  cfg.rto = milliseconds(100);
+  cfg.deliveryTimeout = seconds(10);
+  cfg.fastRetransmitDups = UINT32_MAX;
+  const LinkParams clean{milliseconds(20), microseconds(0), 0.0, 0.0};
+  VirtualDuo pair(62, cfg, clean, /*holdTime=*/true);
+  OrderedSink sink;
+  pair.b.setDeliver(sink.fn());
+  pair.net.setHostLink(
+      1, 2, LinkParams{milliseconds(20), microseconds(0), 1.0, 0.0});
+  pair.a.send(pair.b.address(), 1, "0");
+  pair.net.setHostLink(1, 2, clean);
+  for (int i = 1; i < 4; ++i) {
+    pair.a.send(pair.b.address(), 1, std::to_string(i));
+  }
+  // Just after the timer resends frame 0, ~30 ms before that resend's ack.
+  pair.clock.sleepFor(milliseconds(110));
+  const auto probe = pair.a.probeStream(pair.b.address(), 1);
+  const auto stats = pair.a.stats();
+  EXPECT_EQ(stats.retransmits, 1u);
+  EXPECT_EQ(probe.inFlight, 1u);
+  EXPECT_GE(probe.ssthresh, 2u);
+  EXPECT_GE(probe.cwnd, static_cast<double>(probe.ssthresh));
+  EXPECT_EQ(stats.windowCuts, 1u);
+  EXPECT_EQ(stats.windowCollapses, 0u);
+  pair.mainIsWorker.reset();
+  ASSERT_TRUE(sink.waitFor(1, 4, seconds(10)));
+  ASSERT_TRUE(pair.a.flush(seconds(10)));
+  const auto got = sink.get(1);
+  ASSERT_EQ(got.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], std::to_string(i));
+}
+
+TEST(ReliableAdaptive, ResetStreamForgetsTheOldEpochsAckClock) {
+  // Four frames reach the receiver at 20 ms; its ack is on the wire back
+  // when, at 30 ms, the path goes dark and the stream is reset.  That ack
+  // lands (~44 ms) after the new epoch's frames were sent, but it belongs
+  // to the old epoch: the new frames' first timer expiry must find the ack
+  // clock stopped and restart the window at one frame.
+  ReliableConfig cfg;
+  cfg.tickInterval = milliseconds(2);
+  cfg.rto = milliseconds(100);
+  cfg.deliveryTimeout = seconds(10);
+  VirtualDuo pair(63, cfg,
+                  LinkParams{milliseconds(20), microseconds(0), 0.0, 0.0},
+                  /*holdTime=*/true);
+  OrderedSink sink;
+  pair.b.setDeliver(sink.fn());
+  for (int i = 0; i < 4; ++i) {
+    pair.a.send(pair.b.address(), 1, "old-" + std::to_string(i));
+  }
+  pair.clock.sleepFor(milliseconds(30));
+  EXPECT_EQ(sink.get(1).size(), 4u);
+  pair.net.setPartition(1, 2, true);
+  pair.a.resetStream(pair.b.address(), 1);
+  for (int i = 0; i < 2; ++i) {
+    pair.a.send(pair.b.address(), 1, "new-" + std::to_string(i));
+  }
+  pair.clock.sleepFor(milliseconds(120));
+  const auto probe = pair.a.probeStream(pair.b.address(), 1);
+  const auto stats = pair.a.stats();
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_EQ(probe.cwnd, 1.0);
+  EXPECT_GE(probe.ssthresh, 2u);
+  EXPECT_EQ(stats.windowCuts, 1u);
+  EXPECT_EQ(stats.windowCollapses, 1u);
+  pair.net.setPartition(1, 2, false);
+  pair.mainIsWorker.reset();
+  ASSERT_TRUE(sink.waitFor(1, 6, seconds(10)));
+  const auto got = sink.get(1);
+  EXPECT_EQ(got[4], "new-0");
+  EXPECT_EQ(got[5], "new-1");
 }
 
 TEST(ReliableAdaptive, FreshStreamSendsInitialWindowBeforeFirstAck) {

@@ -2,6 +2,7 @@
 // concurrent sessions over shared members, repeated session churn on
 // long-lived dapplets, and snapshot persistence.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -233,7 +234,8 @@ TEST(SnapshotPersistence, SaveLoadRoundTrip) {
   snap.channels[1].push_back(Value(std::move(msg)));
 
   const std::string path =
-      (std::filesystem::temp_directory_path() / "dapple_snapshot_test.wire")
+      (std::filesystem::temp_directory_path() /
+       ("dapple_snapshot_test_" + std::to_string(::getpid()) + ".wire"))
           .string();
   snap.saveTo(path);
   const GlobalSnapshot back = GlobalSnapshot::loadFrom(path);

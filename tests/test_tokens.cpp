@@ -1,6 +1,7 @@
 // Tests for the token service (§4.1): request/release semantics, the
 // conservation invariant, reader/writer exclusion, and deadlock detection.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -375,8 +376,8 @@ TokenColor colorHomedAt(std::size_t home, std::size_t n) {
 std::string leaseTempDir(const std::string& tag) {
   static std::atomic<int> counter{0};
   const auto path = std::filesystem::temp_directory_path() /
-                    ("dapple_tokens_" + tag + "_" +
-                     std::to_string(counter.fetch_add(1)));
+                    ("dapple_tokens_" + std::to_string(::getpid()) + "_" +
+                     tag + "_" + std::to_string(counter.fetch_add(1)));
   std::filesystem::remove_all(path);
   std::filesystem::create_directories(path);
   return path.string();
@@ -533,6 +534,10 @@ TEST(TokenLeases, ExpiryAndMemberDownReclaimExactlyOnce) {
 TEST(TokenLeases, RestartReLeasesJournaledHoldingsUnderIncarnationGuard) {
   const std::uint64_t seed = 923;
   testkit::VirtualClock clock;
+  // Time stands still while this thread crashes and rebuilds b.  A clock
+  // running meanwhile could pass the 400 ms lease, and the home would
+  // reclaim the loan before the re-lease claims it.
+  const ClockSource::WorkerScope mainIsWorker(clock);
   SimNetwork net(seed, simOpts(clock));
   const std::string dir = leaseTempDir("relet");
   const TokenColor color = colorHomedAt(0, 2);  // homed at the survivor
@@ -603,6 +608,7 @@ TEST(TokenLeases, RestartReLeasesJournaledHoldingsUnderIncarnationGuard) {
   bds2.reset();
   b2->stop();
   a.stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TokenLeases, ConfigNormalizedClampsNonsense) {
