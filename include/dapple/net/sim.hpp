@@ -120,8 +120,9 @@ class SimNetwork : public Network {
   /// Number of datagrams currently queued for future delivery.
   std::size_t inFlight() const;
 
-  /// Blocks until the network has no queued datagrams or `timeout` elapses;
-  /// returns true when quiescent.  Useful for draining tests.
+  /// Blocks until the network has no queued datagrams and no handler of a
+  /// delivered batch still running, or `timeout` elapses; returns true when
+  /// quiescent.  Useful for draining tests.
   bool awaitQuiescent(Duration timeout);
 
  private:

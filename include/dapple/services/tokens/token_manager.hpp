@@ -21,21 +21,23 @@
 /// `request()` throws DeadlockError after returning its partial grants —
 /// *"If the token managers detect a deadlock an exception is raised."*
 ///
-/// Credit caching (DESIGN.md §14).  A single home per colour makes every
-/// grant a remote round trip, which caps a hot colour's throughput at the
-/// network RTT.  With `TokenConfig::creditBatch > 0` a member *borrows* a
-/// batch of credits alongside each remote grant and sub-lets them locally:
-/// later `request()`s of that colour are satisfied from the cached credit
-/// with no network hop at all.  Consistency rides Gray & Cheriton leases —
-/// every loan is duration-bounded (`leaseDuration`), renewed from the
-/// reactor's `every()` wheel, and reclaimed by the home on expiry or on
-/// `memberDown()` so a crashed borrower's credits return to the pool.  When
-/// a home has blocked waiters it *recalls* outstanding loans; borrowers
-/// return unused credit immediately and route subsequent releases to the
-/// home until the recall window passes.  A restarted borrower re-leases its
-/// journaled holdings under a fresh incarnation number; the home retires the
-/// old loan first, so a recovered process can never double-spend and a
-/// zombie's renewals are refused.
+/// One ledger (DESIGN.md §14).  Every token outside a home's free pool is on
+/// loan to one member, which returns it with `tok.lease.ret`; the paper's
+/// round-trip grant is a loan of exactly the requested count.  A single home
+/// per colour makes every such grant a remote round trip, which caps a hot
+/// colour's throughput at the network RTT.  With `TokenConfig::creditBatch`
+/// above 0 a request *asks* for spare credits alongside the grant, and the
+/// member sub-lets them locally: later `request()`s of that colour are served
+/// from the cache with no network hop at all.  Only an ask gives its loan a
+/// Gray & Cheriton lease (`leaseDuration`, renewed from the reactor's
+/// `every()` wheel while any of its tokens is held, reclaimed by the home on
+/// expiry), and only asked-for tokens return to the cache on release; the
+/// rest go home.  A home with blocked waiters *recalls* leased loans, and
+/// `memberDown()` reclaims every loan of a crashed member.  A restarted
+/// borrower re-leases its journaled holdings under the next incarnation,
+/// counted in its own journal; the home retires the old loan first, so a
+/// recovered process can never double-spend and a zombie's renewals are
+/// refused.
 ///
 /// The conservation invariant (fixed token count per colour) is checkable
 /// at any quiescent point via `totalTokens()` and is exercised by the
@@ -68,7 +70,6 @@ struct TokenRequest {
 using TokenList = std::vector<TokenRequest>;
 
 class StateStore;
-class PeerMonitor;
 
 /// Tuning for the token-manager network.
 struct TokenConfig {
@@ -79,7 +80,7 @@ struct TokenConfig {
   Duration probeInterval = milliseconds(100);
   /// Optional crash-recovery journal (DESIGN.md §12), typically a
   /// `recovery::DurableState`'s store.  When set, the manager persists its
-  /// home pools, held bag, and both sides of every credit loan under
+  /// home pools, both sides of every loan and its boot count under
   /// reserved "dapple.tok/*" keys at every mutation, and attach() restores
   /// them — ignoring `initial` seeds for restored colours — so a restarted
   /// member neither mints nor loses tokens.  Must outlive the manager.
@@ -87,35 +88,22 @@ struct TokenConfig {
 
   // --- credit caching / leases (DESIGN.md §14) ----------------------------
 
-  /// Extra credits borrowed alongside each remote grant and cached for
-  /// local sub-letting.  0 disables caching entirely (the legacy
-  /// round-trip-per-grant protocol; wire- and journal-compatible).
+  /// Spare credits a request asks for alongside each remote grant, cached
+  /// for local sub-letting.  0 (the paper's round trip per grant) never
+  /// asks, so its loans carry no lease.
   std::int64_t creditBatch = 0;
-  /// Loan lifetime.  The home reclaims a loan this long after the last
-  /// grant/renewal; the borrower renews from the maintenance timer well
-  /// before expiry, so an unbroken member keeps its credit indefinitely.
+  /// Lease lifetime of a loan opened by an ask.  The home reclaims it this
+  /// long after the last grant/renewal; the borrower renews from the
+  /// maintenance timer (every `leaseDuration / 4`) well before expiry, so
+  /// an unbroken member keeps its credit indefinitely.
   Duration leaseDuration = milliseconds(2000);
-  /// Maintenance-timer period (renewals, member-side expiry, home-side
-  /// reclaim sweeps, recalls).  Zero (the default) derives
-  /// `leaseDuration / 4`.
-  Duration maintenanceInterval = Duration::zero();
-  /// Monotonic per-process incarnation (recovery::DurableState counts
-  /// boots).  Stamped on lease traffic so a home can tell a recovered
-  /// borrower (higher incarnation: retire the old loan, lease afresh) from
-  /// a zombie (lower: refuse renewal).
-  std::uint64_t incarnation = 1;
-  /// Optional failure detector: when set, attach() watches every peer
-  /// manager and a suspect verdict triggers `memberDown()` for that slot,
-  /// returning the crashed borrower's credits without waiting out the
-  /// lease.  Must outlive the manager.
-  PeerMonitor* monitor = nullptr;
 
   /// Copy with nonsense knobs clamped to safe values (mirrors
-  /// `ReliableConfig::normalized`): non-positive probe/lease/maintenance
-  /// durations and negative credit batches would wedge the renewal wheel
-  /// or spin it hot.  Each adjustment appends one human-readable note to
-  /// `notes`; the TokenManager constructor normalizes its config and emits
-  /// every note as a `tokens/config.clamp` trace event.
+  /// `ReliableConfig::normalized`): non-positive probe/lease durations and
+  /// negative credit batches would wedge the renewal wheel or spin it hot.
+  /// Each adjustment appends one human-readable note to `notes`; the
+  /// TokenManager constructor normalizes its config and emits every note as
+  /// a `tokens/config.clamp` trace event.
   TokenConfig normalized(std::vector<std::string>* notes = nullptr) const;
 };
 
@@ -138,7 +126,7 @@ class TokenManager {
   /// Wires the manager network.  `initial` seeds colours whose home is
   /// `selfIndex` (seeding a colour homed elsewhere throws TokenError).
   /// With a journal, restored member-side loans are re-leased from their
-  /// homes under this process's incarnation (asynchronously; quiesce the
+  /// homes under this boot's incarnation (asynchronously; quiesce the
   /// network before asserting on `cachedCredits()`).
   void attach(const std::vector<InboxRef>& managers, std::size_t selfIndex,
               const TokenBag& initial);
@@ -150,11 +138,10 @@ class TokenManager {
   void rewire(std::size_t index, const InboxRef& ref);
 
   /// MEMBER_DOWN: reclaims every loan lent to member `index` by the
-  /// colours homed here, returning the credits to their pools.  Exactly
-  /// once per loan — a reclaim that already happened (lease expiry, an
-  /// earlier call) is a no-op, so a failure detector and the expiry sweep
-  /// may race freely.  Wired automatically when `TokenConfig::monitor` is
-  /// set; also callable directly by session machinery.
+  /// colours homed here, leased or not, returning the tokens to their
+  /// pools.  Exactly once per loan — a reclaim that already happened (lease
+  /// expiry, an earlier call) is a no-op, so a failure detector and the
+  /// expiry sweep may race freely.
   void memberDown(std::size_t index);
 
   /// Home member index of a colour (hash over the member count).
@@ -176,14 +163,14 @@ class TokenManager {
   /// unchanged.
   void request(const TokenList& wants, Duration timeout = seconds(30));
 
-  /// Returns the listed tokens to the manager network.  Tokens granted
-  /// from cached credit return to the cache (again no messages, unless a
-  /// recall is in force).  Throws TokenError when the dapplet does not
-  /// hold them.
+  /// Returns the listed tokens to the manager network.  Tokens granted in
+  /// reply to an ask return to the cache (again no messages, unless a
+  /// recall is in force); the rest go home.  Throws TokenError when the
+  /// dapplet does not hold them.
   void release(const TokenList& gives);
 
   /// Queries every home and returns the total number of tokens of each
-  /// colour in the system (free + held + on loan).
+  /// colour in the system (free + on loan).
   TokenBag totalTokens(Duration timeout = seconds(5));
 
   /// Tokens currently held by this dapplet (the paper's `holdsTokens`).
@@ -195,8 +182,8 @@ class TokenManager {
   /// sub-let to the application).
   TokenBag cachedCredits() const;
 
-  /// Home side: credits currently on loan per colour homed here (summed
-  /// over borrowers).
+  /// Home side: tokens currently on loan per colour homed here, held or
+  /// cached (summed over borrowers).
   TokenBag lentCredits() const;
 
   /// Returns every free cached credit to its home (the loans stay live
@@ -205,8 +192,8 @@ class TokenManager {
   void returnCachedCredits();
 
   /// Home-side ledger audit (oracles): for every colour homed here,
-  /// `free + Σheld + Σlent` must equal the minted total — the paper's
-  /// "neither created nor destroyed", with loans on the books.  Returns
+  /// `free + Σlent` must equal the minted total — the paper's "neither
+  /// created nor destroyed", with loans on the books.  Returns
   /// one description per violated colour; empty means the ledger balances.
   std::vector<std::string> auditHomeLedger() const;
 
@@ -217,11 +204,11 @@ class TokenManager {
     std::uint64_t probesSent = 0;
     std::uint64_t probesForwarded = 0;
     std::uint64_t grantsIssued = 0;   ///< as a home
-    std::uint64_t releasesServed = 0; ///< as a home
+    std::uint64_t releasesServed = 0; ///< as a home: returns applied
     // --- credit caching ---------------------------------------------------
     std::uint64_t cacheHits = 0;       ///< request() served from cache
     std::uint64_t cacheMisses = 0;     ///< caching on, but went remote
-    std::uint64_t leasesGranted = 0;   ///< as a home: loans opened/extended
+    std::uint64_t leasesGranted = 0;   ///< as a home: asks served
     std::uint64_t leaseRenewals = 0;   ///< as a borrower: renewals acked
     std::uint64_t leaseExpiries = 0;   ///< as a home: loans reclaimed by expiry
     std::uint64_t leasesReclaimed = 0; ///< as a home: every reclaim (expiry,

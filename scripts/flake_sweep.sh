@@ -4,8 +4,9 @@
 #
 # Runs `ctest --repeat until-fail:N -j$(nproc)` over the transport-matrix
 # gate (`bench_transport_matrix`) and every test labelled `faults`,
-# `recovery`, `tokens`, `services`, `reactor` or `transport`, all in one
-# ctest pass so they load each other.
+# `recovery`, `tokens`, `services`, `reactor`, `transport`, `core`, `net`,
+# `apps` or `stress`, all in one ctest pass so they load each other.
+# `snapshot` joins once the snapshot services count every cut exactly.
 # Each test repeats until it fails or has passed N times; the script exits
 # non-zero, printing the failing run's output, if any test failed.
 #
@@ -21,7 +22,7 @@ BUILD_DIR="${2:-build}"
 # ctest ANDs -L with -R, so collect the union by name and select it with one
 # anchored, escaped alternation.
 names=$({
-  ctest --test-dir "$BUILD_DIR" -N -L '^(faults|recovery|tokens|services|reactor|transport)$'
+  ctest --test-dir "$BUILD_DIR" -N -L '^(faults|recovery|tokens|services|reactor|transport|core|net|apps|stress)$'
   ctest --test-dir "$BUILD_DIR" -N -R '^bench_transport_matrix$'
 } | sed -n 's/^ *Test *#[0-9]*: //p')
 if [ -z "$names" ]; then

@@ -3,7 +3,8 @@
 #
 # Configures a dedicated ThreadSanitizer build tree, builds the test
 # binaries, and runs the `faults`, `fuzz-smoke`, `recovery`, `reactor`,
-# `serial`, `services`, `tokens` and `transport` ctest labels — the
+# `serial`, `services`, `tokens`, `transport`, `core`, `net`, `apps` and
+# `stress` ctest labels — the
 # failure-injection suites, the scenario-fuzzer smoke sweep, the
 # crash-recovery (kill -> restart -> rejoin) suite, the event-loop runtime
 # (timer wheel, handler strands), the wire codec (text/binary encode-decode,
@@ -11,8 +12,9 @@
 # loops (session, sync, clocks, ordering groups, termination, directory),
 # the token service's credit/lease machinery (renewal timers racing grants,
 # recalls, and member crashes), and the reliable ordering layer (its timer
-# thread racing ack and data delivery).  Most run on the virtual clock, so
-# TSan reports reproduce run-to-run.
+# thread racing ack and data delivery), and the core, network, application
+# and stress suites.  Most run on the virtual clock, so TSan reports
+# reproduce run-to-run.
 #
 #   scripts/tsan_check.sh [build-dir]     (default: build-tsan)
 set -eu
@@ -22,4 +24,4 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -DDAPPLE_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j
-ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'faults|fuzz-smoke|recovery|reactor|serial|services|tokens|transport'
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'faults|fuzz-smoke|recovery|reactor|serial|services|tokens|transport|core|net|apps|stress'

@@ -114,6 +114,8 @@ struct SimNetwork::Impl {
   };
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
   std::uint64_t nextSeq = 0;
+  /// A popped batch's handlers are running: not quiescent yet.
+  bool delivering = false;
 
   Stats stats;
   const std::uint64_t seed;
@@ -265,11 +267,13 @@ struct SimNetwork::Impl {
         }
         ready.emplace_back(std::move(ev), std::move(target));
       }
+      delivering = true;
       lock.unlock();
       for (auto& [ev, target] : ready) {
         if (target) target->deliver(ev.src, std::move(ev.payload));
       }
       lock.lock();
+      delivering = false;  // an empty queue notifies `quiescent` up top
     }
   }
 };
@@ -305,6 +309,9 @@ SimNetwork::SimNetwork(std::uint64_t seed, const Options& options)
 }
 
 SimNetwork::~SimNetwork() {
+  // Under the mutex: an idle delivery thread between its predicate check
+  // and its park would otherwise miss the stop and never be joined.
+  std::scoped_lock lock(impl_->mutex);
   impl_->worker.request_stop();
   impl_->clk->notifyAll(impl_->wake);
 }
@@ -411,8 +418,9 @@ std::size_t SimNetwork::inFlight() const {
 
 bool SimNetwork::awaitQuiescent(Duration timeout) {
   std::unique_lock lock(impl_->mutex);
-  return impl_->clk->waitFor(lock, impl_->quiescent, timeout,
-                             [this] { return impl_->queue.empty(); });
+  return impl_->clk->waitFor(lock, impl_->quiescent, timeout, [this] {
+    return impl_->queue.empty() && !impl_->delivering;
+  });
 }
 
 }  // namespace dapple

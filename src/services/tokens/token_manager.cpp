@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <utility>
 
-#include "dapple/core/peer_monitor.hpp"
 #include "dapple/core/service.hpp"
 #include "dapple/core/state.hpp"
 #include "dapple/serial/data_message.hpp"
@@ -25,7 +23,6 @@ constexpr const char* kLog = "tokens";
 constexpr const char* kReq = "tok.req";
 constexpr const char* kGrant = "tok.grant";
 constexpr const char* kErr = "tok.err";
-constexpr const char* kRel = "tok.rel";
 constexpr const char* kCancel = "tok.cancel";
 constexpr const char* kProbe = "tok.probe";        // member -> home
 constexpr const char* kProbeFwd = "tok.probe.fwd"; // home -> holder
@@ -40,9 +37,9 @@ constexpr const char* kLeaseReq = "tok.lease.req";        // restart re-lease
 constexpr const char* kLeaseGrant = "tok.lease.grant";    // home -> borrower
 
 // Reserved journal keys (TokenConfig::journal, DESIGN.md §12/§14).
-constexpr const char* kJournalHeld = "dapple.tok/held";
 constexpr const char* kJournalHomePrefix = "dapple.tok/home/";
 constexpr const char* kJournalLeases = "dapple.tok/leases";
+constexpr const char* kJournalIncarnation = "dapple.tok/incarnation";
 
 std::uint64_t colorHash(const TokenColor& color) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -81,24 +78,6 @@ TokenConfig TokenConfig::normalized(std::vector<std::string>* notes) const {
     note("leaseDuration <= 0 would expire loans before the first renewal; "
          "clamped to 20ms");
   }
-  if (out.maintenanceInterval < Duration::zero()) {
-    out.maintenanceInterval = Duration::zero();
-    note("maintenanceInterval < 0 is meaningless; deriving from "
-         "leaseDuration");
-  }
-  if (out.maintenanceInterval == Duration::zero()) {
-    out.maintenanceInterval =
-        std::max<Duration>(milliseconds(1), out.leaseDuration / 4);
-  } else if (out.maintenanceInterval > out.leaseDuration / 2) {
-    out.maintenanceInterval =
-        std::max<Duration>(milliseconds(1), out.leaseDuration / 2);
-    note("maintenanceInterval > leaseDuration/2 would miss the renewal "
-         "window; clamped to leaseDuration/2");
-  }
-  if (out.incarnation == 0) {
-    out.incarnation = 1;
-    note("incarnation 0 is reserved for 'unknown'; clamped to 1");
-  }
   return out;
 }
 
@@ -117,6 +96,11 @@ struct TokenManager::Impl : ServiceCore {
         trace(&d.trace()) {}
 
   const TokenConfig cfg;
+  /// This process's boot count: one past the journal's last (1 without a
+  /// journal).  Stamped on requests and lease traffic so a home can tell a
+  /// recovered borrower (higher: retire the old loan, lend afresh) from a
+  /// zombie (lower: refuse renewal).
+  std::uint64_t incarnation = 1;
   /// Request deadlines, probe pacing, lease expiry, and every cv
   /// wait/notify run on the dapplet's clock so virtual-time tests advance
   /// through them.
@@ -132,30 +116,31 @@ struct TokenManager::Impl : ServiceCore {
   obs::Counter* mExpiries;
   obs::Gauge* gCreditOut;
   obs::TraceRing* trace;
-  std::weak_ptr<Impl> weakSelf;  // for timer/monitor callbacks
+  std::weak_ptr<Impl> weakSelf;  // for timer callbacks
 
   bool attached = false;
   std::size_t selfIndex = 0;
   std::vector<Outbox*> peers;  // index-aligned; self slot used too (loop-back)
 
   // ---- home-side state (for colours homed at this member) ---------------
-  struct Lease {
+  /// Every token outside a home's free pool is on loan to one member.
+  struct Loan {
     std::int64_t credits = 0;      ///< lent and not yet returned
     std::uint64_t id = 0;
     std::uint64_t incarnation = 1; ///< borrower's boot count
+    bool leased = false;           ///< has a deadline: an ask opened it
     TimePoint expiresAt{};
   };
   struct HomeColor {
     std::int64_t total = 0;  ///< conservation constant
     std::int64_t free = 0;
-    std::map<std::size_t, std::int64_t> holders;  ///< member -> held count
-    std::map<std::size_t, Lease> leases;          ///< member -> open loan
+    std::map<std::size_t, Loan> loans;  ///< member -> open loan
     struct Waiter {
       std::uint64_t ts;
       std::size_t from;
       std::int64_t count;
       std::string reqId;
-      std::int64_t leaseAsk = 0;     ///< extra credits to lend alongside
+      std::int64_t ask = 0;  ///< spare credits to lend alongside
       std::uint64_t incarnation = 1;
       friend bool operator<(const Waiter& a, const Waiter& b) {
         // Earlier timestamp first; ties to the lower member id (§4.2).
@@ -166,32 +151,31 @@ struct TokenManager::Impl : ServiceCore {
   };
   std::map<TokenColor, HomeColor> homed;
   std::uint64_t nextLeaseId = 1;
-  std::int64_t lentTotal = 0;  ///< Σ lease credits across homed colours
+  std::int64_t lentTotal = 0;  ///< Σ loan credits across homed colours
 
   // ---- member-side state --------------------------------------------------
-  TokenBag held;  ///< tokens granted through the legacy (uncached) path
-  struct CacheEntry {
-    std::int64_t credit = 0;      ///< borrowed, free to sub-let locally
-    std::int64_t heldLeased = 0;  ///< borrowed and sub-let to the app
-    std::uint64_t leaseId = 0;    ///< 0 = no live lease (or re-lease pending)
+  /// This member's loan of one colour.
+  struct Borrowing {
+    std::int64_t credit = 0;     ///< cached, free to sub-let locally
+    std::int64_t held = 0;       ///< sub-let to the app
+    std::int64_t homebound = 0;  ///< of `held`, granted without an ask
+    std::uint64_t leaseId = 0;   ///< 0 = no live loan (or re-lease pending)
+    bool leased = false;         ///< the loan has a deadline
     TimePoint expiresAt{};
     TimePoint renewSentAt{};
     bool renewInFlight = false;
-    TimePoint recallUntil{};      ///< fast path disabled until then
+    TimePoint recallUntil{};     ///< fast path disabled until then
   };
-  std::map<TokenColor, CacheEntry> cache;
+  std::map<TokenColor, Borrowing> borrowed;
   /// App-held tokens whose lease died under us (the home reclaimed the
   /// loan).  The app still sees them in holdsTokens(); release() retires
   /// them silently — the home's pool already counts them.
   TokenBag orphaned;
 
   // Maintenance timer (renewals, expiry sweeps, recalls); armed lazily the
-  // first time a loan exists on either side.
+  // first time a leased loan exists on either side.
   Reactor::TimerHandle maintTimer;
   bool maintArmed = false;
-
-  // PeerMonitor wiring (cfg.monitor): watch key -> member index.
-  std::map<std::string, std::size_t> watchIndex;
 
   // ---- crash-recovery journal (cfg.journal) -------------------------------
   // Persisted under the store lock of the *caller's* mutex — every call
@@ -207,20 +191,13 @@ struct TokenManager::Impl : ServiceCore {
     ValueMap entry;
     entry["total"] = Value(static_cast<long long>(it->second.total));
     entry["free"] = Value(static_cast<long long>(it->second.free));
-    ValueMap holders;
-    for (const auto& [member, count] : it->second.holders) {
-      if (count != 0) {
-        holders[std::to_string(member)] =
-            Value(static_cast<long long>(count));
-      }
-    }
-    entry["holders"] = Value(std::move(holders));
     ValueMap lent;
-    for (const auto& [member, lease] : it->second.leases) {
+    for (const auto& [member, loan] : it->second.loans) {
       ValueMap l;
-      l["credits"] = Value(static_cast<long long>(lease.credits));
-      l["id"] = Value(static_cast<long long>(lease.id));
-      l["inc"] = Value(static_cast<long long>(lease.incarnation));
+      l["credits"] = Value(static_cast<long long>(loan.credits));
+      l["id"] = Value(static_cast<long long>(loan.id));
+      l["inc"] = Value(static_cast<long long>(loan.incarnation));
+      l["leased"] = Value(loan.leased);
       lent[std::to_string(member)] = Value(std::move(l));
     }
     entry["lent"] = Value(std::move(lent));
@@ -228,38 +205,29 @@ struct TokenManager::Impl : ServiceCore {
     cfg.journal->put(kJournalHomePrefix + color, Value(std::move(entry)));
   }
 
-  void journalHeldLocked() {
-    if (cfg.journal == nullptr) return;
-    ValueMap bag;
-    for (const auto& [color, count] : held) {
-      if (count != 0) bag[color] = Value(static_cast<long long>(count));
-    }
-    cfg.journal->put(kJournalHeld, Value(std::move(bag)));
-  }
-
   void journalLeasesLocked() {
     if (cfg.journal == nullptr) return;
     ValueMap bag;
-    for (const auto& [color, e] : cache) {
-      if (e.credit == 0 && e.heldLeased == 0) continue;
+    for (const auto& [color, e] : borrowed) {
+      if (e.credit == 0 && e.held == 0) continue;
       ValueMap l;
       l["credit"] = Value(static_cast<long long>(e.credit));
-      l["held"] = Value(static_cast<long long>(e.heldLeased));
+      l["held"] = Value(static_cast<long long>(e.held));
       bag[color] = Value(std::move(l));
     }
     cfg.journal->put(kJournalLeases, Value(std::move(bag)));
   }
 
-  /// attach()-time restore: returns the colours whose home pool came back
-  /// from the journal (their `initial` seeds must be skipped, or a restart
-  /// would mint a second batch of every token).
+  /// attach()-time restore: counts this boot, and returns the colours
+  /// whose home pool came back from the journal (their `initial` seeds must
+  /// be skipped, or a restart would mint a second batch of every token).
   std::set<TokenColor> restoreJournalLocked() {
     std::set<TokenColor> restored;
     if (cfg.journal == nullptr) return restored;
-    const Value heldImage = cfg.journal->getOr(kJournalHeld, Value(ValueMap{}));
-    for (const auto& [color, count] : heldImage.asMap()) {
-      if (count.asInt() != 0) held[color] = count.asInt();
-    }
+    const Value last = cfg.journal->getOr(kJournalIncarnation, Value(0));
+    incarnation = static_cast<std::uint64_t>(last.asInt()) + 1;
+    cfg.journal->put(kJournalIncarnation,
+                     Value(static_cast<long long>(incarnation)));
     for (const std::string& key : cfg.journal->keys()) {
       if (key.rfind(kJournalHomePrefix, 0) != 0) continue;
       const TokenColor color = key.substr(std::strlen(kJournalHomePrefix));
@@ -267,24 +235,21 @@ struct TokenManager::Impl : ServiceCore {
       HomeColor& home = homed[color];
       home.total = entry.at("total").asInt();
       home.free = entry.at("free").asInt();
-      for (const auto& [member, count] : entry.at("holders").asMap()) {
-        home.holders[std::strtoull(member.c_str(), nullptr, 10)] =
-            count.asInt();
-      }
-      // Outstanding loans survive the home's own restart with a fresh
-      // grace period: live borrowers renew within it, dead ones lapse and
-      // the sweep returns their credits.
+      // Outstanding loans survive the home's own restart; a leased one gets
+      // a fresh grace period: live borrowers renew within it, dead ones
+      // lapse and the sweep returns their credits.
       if (entry.asMap().count("lent") != 0) {
         for (const auto& [member, lv] : entry.at("lent").asMap()) {
-          Lease lease;
-          lease.credits = lv.at("credits").asInt();
-          lease.id = static_cast<std::uint64_t>(lv.at("id").asInt());
-          lease.incarnation =
-              static_cast<std::uint64_t>(lv.at("inc").asInt());
-          lease.expiresAt = now() + cfg.leaseDuration;
-          if (lease.credits > 0) {
-            home.leases[std::strtoull(member.c_str(), nullptr, 10)] = lease;
-            lentTotal += lease.credits;
+          Loan loan;
+          loan.credits = lv.at("credits").asInt();
+          loan.id = static_cast<std::uint64_t>(lv.at("id").asInt());
+          loan.incarnation = static_cast<std::uint64_t>(lv.at("inc").asInt());
+          loan.leased = lv.at("leased").asBool();
+          loan.expiresAt = now() + cfg.leaseDuration;
+          if (loan.credits > 0) {
+            home.loans[std::strtoull(member.c_str(), nullptr, 10)] = loan;
+            lentTotal += loan.credits;
+            if (loan.leased) armMaintenanceLocked();
           }
         }
       }
@@ -300,8 +265,8 @@ struct TokenManager::Impl : ServiceCore {
   }
 
   /// attach()-time restore of the member side of loans.  The journaled
-  /// sub-let portion becomes a provisional claim (leaseId 0, fast path
-  /// off); attach() then asks each home to re-lease it under this boot's
+  /// holdings become a provisional claim (leaseId 0, fast path off);
+  /// attach() then asks each home to re-lease them under this boot's
   /// incarnation.  Journaled *free* credit is abandoned — the home retires
   /// the whole old loan when the re-lease arrives (or by expiry).
   std::vector<std::pair<TokenColor, std::int64_t>> restoreLeasesLocked() {
@@ -311,7 +276,7 @@ struct TokenManager::Impl : ServiceCore {
     for (const auto& [color, e] : img.asMap()) {
       const std::int64_t claim = e.at("held").asInt();
       if (claim > 0) {
-        cache[color].heldLeased = claim;
+        borrowed[color].held = claim;
         claims.emplace_back(color, claim);
       } else if (e.at("credit").asInt() > 0) {
         claims.emplace_back(color, 0);  // prompt retirement of the old loan
@@ -325,10 +290,12 @@ struct TokenManager::Impl : ServiceCore {
     std::uint64_t ts = 0;
     // colour -> requested count (kAllTokens allowed)
     std::map<TokenColor, std::int64_t> wants;
-    // colour -> granted count (present once granted)
-    std::map<TokenColor, std::int64_t> granted;
-    // colours whose grant arrived under a lease (credits, not holdings)
-    std::set<TokenColor> leasedColors;
+    // colour -> grant (present once granted)
+    struct Grant {
+      std::int64_t count = 0;
+      bool asked = false;  ///< answered an ask: may be cached on release
+    };
+    std::map<TokenColor, Grant> granted;
     bool deadlocked = false;
     std::string error;
     TimePoint startedAt;
@@ -381,7 +348,9 @@ struct TokenManager::Impl : ServiceCore {
     if (maintArmed || stopped) return;
     maintArmed = true;
     std::weak_ptr<Impl> weak = weakSelf;
-    maintTimer = d.every(cfg.maintenanceInterval, [weak] {
+    const Duration period =
+        std::max<Duration>(milliseconds(1), cfg.leaseDuration / 4);
+    maintTimer = d.every(period, [weak] {
       if (auto impl = weak.lock()) impl->maintenanceTick();
     });
   }
@@ -403,30 +372,24 @@ struct TokenManager::Impl : ServiceCore {
 
   void memberTickLocked(TimePoint t) {
     bool dirty = false;
-    for (auto& [color, e] : cache) {
-      if (e.leaseId == 0) continue;
+    for (auto& [color, e] : borrowed) {
+      if (!e.leased) continue;
       if (t >= e.expiresAt) {
-        // Our lease died (home reclaims on its side): stop spending the
-        // credit and orphan the sub-let tokens — restoring them too would
-        // double the colour.
-        if (e.heldLeased > 0) {
-          orphaned[color] += e.heldLeased;
-          e.heldLeased = 0;
-        }
-        e.credit = 0;
-        e.leaseId = 0;
-        e.renewInFlight = false;
+        // Our lease died (home reclaims on its side).
+        loseLoanLocked(color, e);
         dirty = true;
         trace->emit("tokens", "lease.lost", color);
         continue;
       }
-      if ((e.credit > 0 || e.heldLeased > 0) && !e.renewInFlight &&
+      // Rule 3: renew while any token of the loan is cached or held,
+      // including the ones granted without an ask.
+      if ((e.credit > 0 || e.held > 0) && !e.renewInFlight &&
           t + renewLead() >= e.expiresAt) {
         DataMessage renew(kLeaseRenew);
         renew.set("from", Value(static_cast<long long>(selfIndex)));
         renew.set("color", Value(color));
         renew.set("leaseId", Value(static_cast<long long>(e.leaseId)));
-        renew.set("inc", Value(static_cast<long long>(cfg.incarnation)));
+        renew.set("inc", Value(static_cast<long long>(incarnation)));
         sendTo(homeOf(color), renew);
         e.renewSentAt = t;
         e.renewInFlight = true;
@@ -435,20 +398,28 @@ struct TokenManager::Impl : ServiceCore {
     if (dirty) journalLeasesLocked();
   }
 
+  /// The home no longer lends this member's loan (its lease lapsed or was
+  /// refused, or a new loan replaced it): stop spending the credit and
+  /// orphan every held token — restoring them too would double the colour.
+  void loseLoanLocked(const TokenColor& color, Borrowing& e) {
+    if (e.held > 0) orphaned[color] += e.held;
+    e = Borrowing{.recallUntil = e.recallUntil};
+  }
+
   void homeTickLocked(TimePoint t) {
     for (auto& [color, home] : homed) {
       std::vector<std::size_t> lapsed;
-      for (const auto& [member, lease] : home.leases) {
-        if (t >= lease.expiresAt) lapsed.push_back(member);
+      for (const auto& [member, loan] : home.loans) {
+        if (loan.leased && t >= loan.expiresAt) lapsed.push_back(member);
       }
       for (const std::size_t member : lapsed) {
-        reclaimLeaseLocked(color, home, member, /*expiry=*/true);
+        reclaimLoanLocked(color, home, member, /*expiry=*/true);
       }
       if (!home.waitQ.empty()) {
-        // Demand outruns the pool: recall outstanding loans so borrowers
-        // return unused credit and route releases home for a while.
-        for (const auto& [member, lease] : home.leases) {
-          if (lease.credits <= 0) continue;
+        // Demand outruns the pool: recall leased loans so borrowers return
+        // unused credit and route releases home for a while.
+        for (const auto& [member, loan] : home.loans) {
+          if (!loan.leased || loan.credits <= 0) continue;
           DataMessage recall(kLeaseRecall);
           recall.set("color", Value(color));
           sendTo(member, recall);
@@ -459,13 +430,13 @@ struct TokenManager::Impl : ServiceCore {
 
   /// Exactly-once loan reclaim: the record's erasure is the once-guard, so
   /// lease expiry, memberDown(), and re-lease retirement can race freely.
-  bool reclaimLeaseLocked(const TokenColor& color, HomeColor& home,
-                          std::size_t member, bool expiry) {
-    const auto it = home.leases.find(member);
-    if (it == home.leases.end()) return false;
+  void reclaimLoanLocked(const TokenColor& color, HomeColor& home,
+                         std::size_t member, bool expiry) {
+    const auto it = home.loans.find(member);
+    if (it == home.loans.end()) return;
     home.free += it->second.credits;
     lentTotal -= it->second.credits;
-    home.leases.erase(it);
+    home.loans.erase(it);
     ++stats.leasesReclaimed;
     if (expiry) {
       ++stats.leaseExpiries;
@@ -477,12 +448,11 @@ struct TokenManager::Impl : ServiceCore {
     gCreditOut->set(lentTotal);
     journalHomeLocked(color);
     serveWaitQLocked(color, home);
-    return true;
   }
 
   void memberDownLocked(std::size_t index) {
     for (auto& [color, home] : homed) {
-      reclaimLeaseLocked(color, home, index, /*expiry=*/false);
+      reclaimLoanLocked(color, home, index, /*expiry=*/false);
     }
   }
 
@@ -490,35 +460,34 @@ struct TokenManager::Impl : ServiceCore {
 
   void grantLocked(HomeColor& home, const TokenColor& color,
                    const HomeColor::Waiter& waiter) {
+    // Every grant goes out on the requester's loan.  Rule 1: only an ask
+    // lends spare credit alongside and gives the loan a deadline; a grant
+    // onto a leased loan shares that lease and refreshes it.
+    const bool asked = waiter.ask > 0;
+    const std::int64_t spare = std::max<std::int64_t>(
+        0, std::min(waiter.ask, home.free - waiter.count));
+    const std::int64_t lent = waiter.count + spare;
+    home.free -= lent;
+    Loan& loan = home.loans[waiter.from];
+    if (loan.id == 0) loan.id = nextLeaseId++;
+    loan.incarnation = std::max(loan.incarnation, waiter.incarnation);
+    loan.credits += lent;
+    loan.leased = loan.leased || asked;
+    lentTotal += lent;
+    gCreditOut->set(lentTotal);
     DataMessage grant(kGrant);
     grant.set("reqId", Value(waiter.reqId));
     grant.set("color", Value(color));
     grant.set("count", Value(static_cast<long long>(waiter.count)));
-    if (waiter.leaseAsk > 0) {
-      // Borrow/sub-let: the whole grant plus up to `leaseAsk` extra
-      // credits go out as one loan instead of a holder entry.
-      std::int64_t extra =
-          std::min<std::int64_t>(waiter.leaseAsk, home.free - waiter.count);
-      if (extra < 0) extra = 0;
-      const std::int64_t lent = waiter.count + extra;
-      home.free -= lent;
-      Lease& lease = home.leases[waiter.from];
-      if (lease.id == 0) lease.id = nextLeaseId++;
-      if (waiter.incarnation > lease.incarnation) {
-        lease.incarnation = waiter.incarnation;
-      }
-      lease.credits += lent;
-      lease.expiresAt = now() + cfg.leaseDuration;
-      lentTotal += lent;
-      gCreditOut->set(lentTotal);
+    grant.set("leaseId", Value(static_cast<long long>(loan.id)));
+    if (asked) {
+      grant.set("spare", Value(static_cast<long long>(spare)));
       ++stats.leasesGranted;
-      grant.set("leaseId", Value(static_cast<long long>(lease.id)));
-      grant.set("lent", Value(static_cast<long long>(lent)));
+    }
+    if (loan.leased) {
+      loan.expiresAt = now() + cfg.leaseDuration;
       grant.set("durMs", Value(toMs(cfg.leaseDuration)));
       armMaintenanceLocked();
-    } else {
-      home.free -= waiter.count;
-      home.holders[waiter.from] += waiter.count;
     }
     sendTo(waiter.from, grant);
     journalHomeLocked(color);
@@ -566,41 +535,33 @@ struct TokenManager::Impl : ServiceCore {
       return;
     }
     HomeColor::Waiter waiter{ts, from, count, reqId};
-    if (msg.has("lease")) waiter.leaseAsk = msg.get("lease").asInt();
-    if (msg.has("inc")) {
-      waiter.incarnation = static_cast<std::uint64_t>(msg.get("inc").asInt());
-    }
+    if (msg.has("lease")) waiter.ask = msg.get("lease").asInt();
+    waiter.incarnation = static_cast<std::uint64_t>(msg.get("inc").asInt());
     home.waitQ.insert(
         std::upper_bound(home.waitQ.begin(), home.waitQ.end(), waiter),
         waiter);
     serveWaitQLocked(color, home);
   }
 
-  void applyReleaseLocked(std::size_t from, const TokenColor& color,
-                          std::int64_t count) {
-    const auto it = homed.find(color);
-    if (it == homed.end()) return;
-    HomeColor& home = it->second;
-    home.free += count;
-    auto& heldByFrom = home.holders[from];
-    heldByFrom -= count;
-    if (heldByFrom < 0) {
-      DAPPLE_LOG(kWarn, kLog) << "home " << selfIndex
-                              << ": negative holding for member " << from
-                              << " colour " << color;
-      heldByFrom = 0;
-    }
+  /// Home side of `tok.lease.ret`: `count` tokens of `from`'s loan come
+  /// back to the pool.  A return racing a reclaim is dropped: the reclaim
+  /// already restored the whole loan (in-flight returns included).
+  void applyReturnLocked(std::size_t from, const TokenColor& color,
+                         std::uint64_t id, std::int64_t count) {
+    const auto hit = homed.find(color);
+    if (hit == homed.end()) return;
+    HomeColor& home = hit->second;
+    const auto lit = home.loans.find(from);
+    if (lit == home.loans.end() || lit->second.id != id) return;
+    const std::int64_t n = std::min<std::int64_t>(count, lit->second.credits);
+    lit->second.credits -= n;
+    home.free += n;
+    lentTotal -= n;
+    gCreditOut->set(lentTotal);
+    if (lit->second.credits <= 0) home.loans.erase(lit);
     journalHomeLocked(color);
     ++stats.releasesServed;
     serveWaitQLocked(color, home);
-  }
-
-  void onRel(const DataMessage& msg) {
-    const auto from = static_cast<std::size_t>(msg.get("from").asInt());
-    const TokenColor color = msg.get("color").asString();
-    const auto count = msg.get("count").asInt();
-    std::scoped_lock lock(mutex);
-    applyReleaseLocked(from, color, count);
   }
 
   void onCancel(const DataMessage& msg) {
@@ -615,9 +576,8 @@ struct TokenManager::Impl : ServiceCore {
   }
 
   void onProbe(const DataMessage& msg) {
-    // Home side: fan the probe out to the colour's current holders — both
-    // legacy holders and live borrowers (sub-let tokens can be part of a
-    // hold-and-wait cycle just as held ones can).
+    // Home side: fan the probe out to the colour's current borrowers —
+    // any token on loan can be part of a hold-and-wait cycle.
     const auto origin = static_cast<std::size_t>(msg.get("origin").asInt());
     const std::string reqId = msg.get("reqId").asString();
     const long long round = msg.get("round").asInt();
@@ -625,19 +585,13 @@ struct TokenManager::Impl : ServiceCore {
     std::scoped_lock lock(mutex);
     const auto it = homed.find(color);
     if (it == homed.end()) return;
-    std::set<std::size_t> targets;
-    for (const auto& [holder, count] : it->second.holders) {
-      if (count > 0) targets.insert(holder);
-    }
-    for (const auto& [borrower, lease] : it->second.leases) {
-      if (lease.credits > 0) targets.insert(borrower);
-    }
-    for (const std::size_t target : targets) {
+    for (const auto& [borrower, loan] : it->second.loans) {
+      if (loan.credits <= 0) continue;
       DataMessage fwd(kProbeFwd);
       fwd.set("origin", Value(static_cast<long long>(origin)));
       fwd.set("reqId", Value(reqId));
       fwd.set("round", Value(round));
-      sendTo(target, fwd);
+      sendTo(borrower, fwd);
       ++stats.probesForwarded;
     }
   }
@@ -675,42 +629,69 @@ struct TokenManager::Impl : ServiceCore {
     }
   }
 
+  // ---- member-side loan handling ------------------------------------------
+
+  /// Sends `n` tokens of this member's loan `leaseId` home.  A self-homed
+  /// colour applies in place: a loopback trip would leave the tokens
+  /// neither held nor free, so stats (and grants) would lag the caller.
+  void returnHomeLocked(const TokenColor& color, std::uint64_t leaseId,
+                        std::int64_t n) {
+    const std::size_t home = homeOf(color);
+    if (home == selfIndex) {
+      applyReturnLocked(selfIndex, color, leaseId, n);
+      return;
+    }
+    DataMessage ret(kLeaseRet);
+    ret.set("from", Value(static_cast<long long>(selfIndex)));
+    ret.set("color", Value(color));
+    ret.set("leaseId", Value(static_cast<long long>(leaseId)));
+    ret.set("count", Value(static_cast<long long>(n)));
+    sendTo(home, ret);
+  }
+
+  /// Gives `n` tokens back to their loan, `homebound` of them granted
+  /// without an ask.  Rule 2: only tokens granted in reply to an ask return
+  /// to the cache, and only while no recall is in force; the rest go home.
+  void giveBackLocked(const TokenColor& color, Borrowing& e, std::int64_t n,
+                      std::int64_t homebound) {
+    // No live loan: a pending re-lease recomputes the credit from its
+    // cover, and a lost loan was already reclaimed whole.
+    if (e.leaseId == 0) return;
+    const bool cache = e.leased && now() >= e.recallUntil;
+    const std::int64_t home = cache ? homebound : n;
+    e.credit += n - home;
+    if (home > 0) returnHomeLocked(color, e.leaseId, home);
+  }
+
   void onGrant(const DataMessage& msg) {
     const std::string reqId = msg.get("reqId").asString();
     const TokenColor color = msg.get("color").asString();
     const auto count = msg.get("count").asInt();
+    const auto id = static_cast<std::uint64_t>(msg.get("leaseId").asInt());
     std::scoped_lock lock(mutex);
-    const bool leased = msg.has("leaseId");
-    if (leased) {
-      // The loan opens (or tops up) regardless of whether the request is
-      // still live: the extra credits beyond `count` land in the cache now.
-      auto& e = cache[color];
-      e.leaseId = static_cast<std::uint64_t>(msg.get("leaseId").asInt());
+    Borrowing& e = borrowed[color];
+    // A home keeps one loan per member and colour: a new id means the old
+    // one is gone there, so whatever this member still books on it was
+    // reclaimed.
+    if (e.leaseId != 0 && e.leaseId != id) loseLoanLocked(color, e);
+    e.leaseId = id;
+    // Rule 1: the reply says whether the loan has a deadline.
+    e.leased = msg.has("durMs");
+    if (e.leased) {
       e.expiresAt = now() + milliseconds(msg.get("durMs").asInt());
-      e.credit += msg.get("lent").asInt() - count;
       armMaintenanceLocked();
     }
+    // An asked grant carries its spare credit, which lands in the cache now.
+    const bool asked = msg.has("spare");
+    if (asked) e.credit += msg.get("spare").asInt();
     if (!pending || pending->reqId != reqId) {
-      if (leased) {
-        // Grant for an aborted request: the tokens are leased credit we
-        // legitimately hold — bank them in the cache.
-        cache[color].credit += count;
-        journalLeasesLocked();
-        return;
-      }
-      // Legacy grant for an aborted request: hand the tokens straight back.
-      DataMessage rel(kRel);
-      rel.set("from", Value(static_cast<long long>(selfIndex)));
-      rel.set("color", Value(color));
-      rel.set("count", Value(static_cast<long long>(count)));
-      sendTo(homeOf(color), rel);
+      // Grant for an aborted request: the tokens are ours on loan.
+      giveBackLocked(color, e, count, asked ? 0 : count);
+      journalLeasesLocked();
       return;
     }
-    if (leased) {
-      pending->leasedColors.insert(color);
-      journalLeasesLocked();
-    }
-    pending->granted[color] = count;
+    if (asked) journalLeasesLocked();
+    pending->granted[color] = {count, asked};
     notifyAll();
   }
 
@@ -733,13 +714,13 @@ struct TokenManager::Impl : ServiceCore {
     bool ok = false;
     const auto hit = homed.find(color);
     if (hit != homed.end()) {
-      const auto lit = hit->second.leases.find(from);
-      if (lit != hit->second.leases.end() && lit->second.id == id &&
+      const auto lit = hit->second.loans.find(from);
+      if (lit != hit->second.loans.end() && lit->second.id == id &&
           inc >= lit->second.incarnation) {
         if (now() >= lit->second.expiresAt) {
           // The sweep's verdict stands even when the renewal races it in:
           // expiry already returned the credits to the pool.
-          reclaimLeaseLocked(color, hit->second, from, /*expiry=*/true);
+          reclaimLoanLocked(color, hit->second, from, /*expiry=*/true);
         } else {
           lit->second.expiresAt = now() + cfg.leaseDuration;
           ok = true;
@@ -758,9 +739,9 @@ struct TokenManager::Impl : ServiceCore {
     const TokenColor color = msg.get("color").asString();
     const auto id = static_cast<std::uint64_t>(msg.get("leaseId").asInt());
     std::scoped_lock lock(mutex);
-    const auto it = cache.find(color);
-    if (it == cache.end() || it->second.leaseId != id) return;
-    CacheEntry& e = it->second;
+    const auto it = borrowed.find(color);
+    if (it == borrowed.end() || it->second.leaseId != id) return;
+    Borrowing& e = it->second;
     e.renewInFlight = false;
     if (msg.get("ok").asBool()) {
       // Measured from when the renewal was *sent*, so the member's view of
@@ -771,12 +752,7 @@ struct TokenManager::Impl : ServiceCore {
       return;
     }
     // Refused (reclaimed, or a newer incarnation took over): stop spending.
-    if (e.heldLeased > 0) {
-      orphaned[color] += e.heldLeased;
-      e.heldLeased = 0;
-    }
-    e.credit = 0;
-    e.leaseId = 0;
+    loseLoanLocked(color, e);
     journalLeasesLocked();
     trace->emit("tokens", "lease.refused", color);
   }
@@ -787,38 +763,20 @@ struct TokenManager::Impl : ServiceCore {
     const auto id = static_cast<std::uint64_t>(msg.get("leaseId").asInt());
     const auto count = msg.get("count").asInt();
     std::scoped_lock lock(mutex);
-    const auto hit = homed.find(color);
-    if (hit == homed.end()) return;
-    HomeColor& home = hit->second;
-    const auto lit = home.leases.find(from);
-    // A return racing a reclaim is dropped: the reclaim already restored
-    // the whole loan (in-flight returns included) to the pool.
-    if (lit == home.leases.end() || lit->second.id != id) return;
-    const std::int64_t n = std::min<std::int64_t>(count, lit->second.credits);
-    lit->second.credits -= n;
-    home.free += n;
-    lentTotal -= n;
-    gCreditOut->set(lentTotal);
-    if (lit->second.credits <= 0) home.leases.erase(lit);
-    journalHomeLocked(color);
-    serveWaitQLocked(color, home);
+    applyReturnLocked(from, color, id, count);
   }
 
   void onLeaseRecall(const DataMessage& msg) {
     const TokenColor color = msg.get("color").asString();
     std::scoped_lock lock(mutex);
-    const auto it = cache.find(color);
-    if (it == cache.end() || it->second.leaseId == 0) return;
-    CacheEntry& e = it->second;
+    const auto it = borrowed.find(color);
+    if (it == borrowed.end() || it->second.leaseId == 0) return;
+    Borrowing& e = it->second;
     e.recallUntil = now() + cfg.leaseDuration;
     if (e.credit > 0) {
-      DataMessage ret(kLeaseRet);
-      ret.set("from", Value(static_cast<long long>(selfIndex)));
-      ret.set("color", Value(color));
-      ret.set("leaseId", Value(static_cast<long long>(e.leaseId)));
-      ret.set("count", Value(static_cast<long long>(e.credit)));
-      sendTo(homeOf(color), ret);
+      const std::int64_t unused = e.credit;
       e.credit = 0;
+      returnHomeLocked(color, e.leaseId, unused);
       journalLeasesLocked();
       trace->emit("tokens", "lease.recalled", color);
     }
@@ -835,20 +793,21 @@ struct TokenManager::Impl : ServiceCore {
     // the token layer: replies (and future recalls) need its new address.
     rewireSlotLocked(from, inboxRefFromValue(msg.get("ref")));
     std::uint64_t leaseId = 0;
+    bool leased = false;
     std::int64_t covered = 0, extra = 0;
     const auto hit = homed.find(color);
     if (hit != homed.end()) {
       HomeColor& home = hit->second;
-      const auto lit = home.leases.find(from);
+      const auto lit = home.loans.find(from);
       const bool stale =
-          lit != home.leases.end() && inc <= lit->second.incarnation;
+          lit != home.loans.end() && inc <= lit->second.incarnation;
       if (!stale) {
-        if (lit != home.leases.end()) {
+        if (lit != home.loans.end()) {
           // Retire the dead incarnation's loan first — inline, so its
           // credits cover the claim before any waiter can grab them.
           home.free += lit->second.credits;
           lentTotal -= lit->second.credits;
-          home.leases.erase(lit);
+          home.loans.erase(lit);
           ++stats.leasesReclaimed;
         }
         covered = std::min<std::int64_t>(claim, home.free);
@@ -856,16 +815,22 @@ struct TokenManager::Impl : ServiceCore {
         extra = std::min<std::int64_t>(batch, home.free);
         home.free -= extra;
         if (covered + extra > 0) {
-          Lease lease;
-          lease.credits = covered + extra;
-          lease.id = nextLeaseId++;
-          lease.incarnation = inc;
-          lease.expiresAt = now() + cfg.leaseDuration;
-          home.leases[from] = lease;
-          lentTotal += lease.credits;
-          ++stats.leasesGranted;
-          leaseId = lease.id;
-          armMaintenanceLocked();
+          // Rule 1 again: the re-lease asks for spare credit (and so gets a
+          // deadline) exactly when the member caches.
+          Loan loan;
+          loan.credits = covered + extra;
+          loan.id = nextLeaseId++;
+          loan.incarnation = inc;
+          loan.leased = batch > 0;
+          loan.expiresAt = now() + cfg.leaseDuration;
+          home.loans[from] = loan;
+          lentTotal += loan.credits;
+          leaseId = loan.id;
+          leased = loan.leased;
+          if (leased) {
+            ++stats.leasesGranted;
+            armMaintenanceLocked();
+          }
         }
         gCreditOut->set(lentTotal);
         journalHomeLocked(color);
@@ -877,7 +842,7 @@ struct TokenManager::Impl : ServiceCore {
     reply.set("leaseId", Value(static_cast<long long>(leaseId)));
     reply.set("covered", Value(static_cast<long long>(covered)));
     reply.set("extra", Value(static_cast<long long>(extra)));
-    reply.set("durMs", Value(toMs(cfg.leaseDuration)));
+    if (leased) reply.set("durMs", Value(toMs(cfg.leaseDuration)));
     sendTo(from, reply);
   }
 
@@ -888,21 +853,30 @@ struct TokenManager::Impl : ServiceCore {
     const auto covered = msg.get("covered").asInt();
     const auto extra = msg.get("extra").asInt();
     std::scoped_lock lock(mutex);
-    CacheEntry& e = cache[color];
-    if (e.heldLeased > covered) {
+    Borrowing& e = borrowed[color];
+    if (e.held > covered) {
       // The home could not cover the journaled claim (its own state was
       // lost, or the pool was re-granted meanwhile): the shortfall is
       // forfeited — holding it would mint tokens.
       DAPPLE_LOG(kWarn, kLog)
           << d.name() << ": re-lease of '" << color << "' covered " << covered
-          << "/" << e.heldLeased << "; forfeiting the difference";
-      e.heldLeased = covered;
+          << "/" << e.held << "; forfeiting the difference";
+      e.held = covered;
     }
-    e.credit = covered + extra - e.heldLeased;
+    e.credit = covered + extra - e.held;
     e.leaseId = leaseId;
-    e.expiresAt = now() + milliseconds(msg.get("durMs").asInt());
-    if (leaseId == 0) e.credit = 0;
-    if (leaseId != 0) armMaintenanceLocked();
+    e.leased = msg.has("durMs");
+    // A leased re-lease answered an ask, so its tokens may be cached.
+    e.homebound = e.leased ? 0 : e.held;
+    if (e.leased) {
+      e.expiresAt = now() + milliseconds(msg.get("durMs").asInt());
+      armMaintenanceLocked();
+    } else if (e.credit > 0) {
+      // Released while the re-lease was pending, on a loan without a
+      // deadline: rule 2 sends them home.
+      returnHomeLocked(color, leaseId, e.credit);
+      e.credit = 0;
+    }
     journalLeasesLocked();
     trace->emit("tokens", "lease.restored", color);
     notifyAll();
@@ -916,16 +890,13 @@ struct TokenManager::Impl : ServiceCore {
     std::scoped_lock lock(mutex);
     ValueMap colors;
     for (const auto& [color, home] : homed) {
-      std::int64_t heldSum = 0;
-      for (const auto& [holder, count] : home.holders) heldSum += count;
       std::int64_t lentSum = 0;
-      for (const auto& [borrower, lease] : home.leases) {
-        lentSum += lease.credits;
+      for (const auto& [borrower, loan] : home.loans) {
+        lentSum += loan.credits;
       }
       ValueMap entry;
       entry["total"] = Value(static_cast<long long>(home.total));
       entry["free"] = Value(static_cast<long long>(home.free));
-      entry["held"] = Value(static_cast<long long>(heldSum));
       entry["lent"] = Value(static_cast<long long>(lentSum));
       colors[color] = Value(std::move(entry));
     }
@@ -954,8 +925,6 @@ struct TokenManager::Impl : ServiceCore {
       onGrant(*msg);
     } else if (kind == kErr) {
       onErr(*msg);
-    } else if (kind == kRel) {
-      onRel(*msg);
     } else if (kind == kCancel) {
       onCancel(*msg);
     } else if (kind == kProbe) {
@@ -998,9 +967,9 @@ struct TokenManager::Impl : ServiceCore {
     }
   }
 
-  /// Cancels outstanding colour requests and returns partial grants.
+  /// Cancels outstanding colour requests and gives partial grants back to
+  /// their loans.
   void abortPendingLocked() {
-    bool cacheDirty = false;
     for (const auto& [color, want] : pending->wants) {
       if (pending->granted.count(color) != 0) continue;
       DataMessage cancel(kCancel);
@@ -1008,21 +977,11 @@ struct TokenManager::Impl : ServiceCore {
       cancel.set("color", Value(color));
       sendTo(homeOf(color), cancel);
     }
-    for (const auto& [color, count] : pending->granted) {
-      if (pending->leasedColors.count(color) != 0) {
-        // Leased grants stay borrowed: returning them to the cache is a
-        // local no-message operation, and the loan's renewal keeps them.
-        cache[color].credit += count;
-        cacheDirty = true;
-        continue;
-      }
-      DataMessage rel(kRel);
-      rel.set("from", Value(static_cast<long long>(selfIndex)));
-      rel.set("color", Value(color));
-      rel.set("count", Value(static_cast<long long>(count)));
-      sendTo(homeOf(color), rel);
+    for (const auto& [color, grant] : pending->granted) {
+      giveBackLocked(color, borrowed[color], grant.count,
+                     grant.asked ? 0 : grant.count);
     }
-    if (cacheDirty) journalLeasesLocked();
+    if (!pending->granted.empty()) journalLeasesLocked();
     pending.reset();
   }
 };
@@ -1043,11 +1002,6 @@ TokenManager::~TokenManager() {
   // callback touches impl state after these lines.
   impl_->shutdown();
   impl_->maintTimer.cancel();
-  if (impl_->cfg.monitor != nullptr) {
-    for (const auto& [key, index] : impl_->watchIndex) {
-      impl_->cfg.monitor->unwatch(key);
-    }
-  }
 }
 
 InboxRef TokenManager::ref() const { return impl_->inbox->ref(); }
@@ -1093,17 +1047,10 @@ void TokenManager::attach(const std::vector<InboxRef>& managers,
       req.set("claim", Value(static_cast<long long>(claim)));
       req.set("batch",
               Value(static_cast<long long>(impl_->cfg.creditBatch)));
-      req.set("inc",
-              Value(static_cast<long long>(impl_->cfg.incarnation)));
+      req.set("inc", Value(static_cast<long long>(impl_->incarnation)));
       req.set("ref", inboxRefToValue(impl_->inbox->ref()));
       impl_->sendTo(impl_->homeOf(color), req);
     }
-    if (!claims.empty()) impl_->armMaintenanceLocked();
-    bool homeLoans = false;
-    for (const auto& [color, home] : impl_->homed) {
-      if (!home.leases.empty()) homeLoans = true;
-    }
-    if (homeLoans) impl_->armMaintenanceLocked();
   }
   // Serve from here on: a peer can learn this manager's ref and send before
   // attach(), and those messages wait in the inbox until the handler is
@@ -1111,30 +1058,6 @@ void TokenManager::attach(const std::vector<InboxRef>& managers,
   impl_->serve([impl = impl_.get()](const Delivery& del) {
     impl->dispatch(del);
   });
-  // Failure-detector wiring: a suspect verdict reclaims the member's loans
-  // without waiting out the lease.
-  if (impl_->cfg.monitor != nullptr) {
-    for (std::size_t i = 0; i < managers.size(); ++i) {
-      if (i == selfIndex) continue;
-      const std::string key =
-          "dapple.tok/" + impl_->d.name() + "/" + std::to_string(i);
-      {
-        std::scoped_lock lock(impl_->mutex);
-        impl_->watchIndex[key] = i;
-      }
-      impl_->cfg.monitor->watch(key, managers[i]);
-    }
-    std::weak_ptr<Impl> weak = impl_;
-    impl_->cfg.monitor->onSuspect(
-        [weak](const std::string& key, const InboxRef&) {
-          auto impl = weak.lock();
-          if (!impl) return;
-          std::scoped_lock lock(impl->mutex);
-          const auto it = impl->watchIndex.find(key);
-          if (it == impl->watchIndex.end()) return;
-          impl->memberDownLocked(it->second);
-        });
-  }
 }
 
 std::size_t TokenManager::homeOf(const TokenColor& color) const {
@@ -1190,8 +1113,8 @@ void TokenManager::request(const TokenList& wants, Duration timeout) {
         allCached = false;
         break;
       }
-      const auto it = impl_->cache.find(color);
-      if (it == impl_->cache.end() || it->second.leaseId == 0 ||
+      const auto it = impl_->borrowed.find(color);
+      if (it == impl_->borrowed.end() || it->second.leaseId == 0 ||
           tnow >= it->second.expiresAt || tnow < it->second.recallUntil ||
           it->second.credit < count) {
         allCached = false;
@@ -1200,9 +1123,9 @@ void TokenManager::request(const TokenList& wants, Duration timeout) {
     }
     if (allCached) {
       for (const auto& [color, count] : folded) {
-        auto& e = impl_->cache.at(color);
+        auto& e = impl_->borrowed.at(color);
         e.credit -= count;
-        e.heldLeased += count;
+        e.held += count;
       }
       impl_->journalLeasesLocked();
       ++impl_->stats.cacheHits;
@@ -1230,16 +1153,15 @@ void TokenManager::request(const TokenList& wants, Duration timeout) {
     msg.set("ts", Value(static_cast<long long>(impl_->pending->ts)));
     msg.set("color", Value(color));
     msg.set("count", Value(static_cast<long long>(count)));
+    msg.set("inc", Value(static_cast<long long>(impl_->incarnation)));
     if (impl_->cfg.creditBatch > 0 && count != TokenRequest::kAllTokens) {
-      const auto cit = impl_->cache.find(color);
+      const auto bit = impl_->borrowed.find(color);
       const bool recalled =
-          cit != impl_->cache.end() && tnow < cit->second.recallUntil;
+          bit != impl_->borrowed.end() && tnow < bit->second.recallUntil;
       if (!recalled) {
-        // Ask the home to lend a batch of extra credits with the grant.
+        // Ask the home to lend a batch of spare credits with the grant.
         msg.set("lease",
                 Value(static_cast<long long>(impl_->cfg.creditBatch)));
-        msg.set("inc",
-                Value(static_cast<long long>(impl_->cfg.incarnation)));
       }
     }
     impl_->sendTo(impl_->homeOf(color), msg);
@@ -1282,18 +1204,18 @@ void TokenManager::request(const TokenList& wants, Duration timeout) {
     }
     impl_->clock().parkUntil(lock, impl_->cv, std::min(deadline, p.nextProbe));
   }
-  bool heldDirty = false, cacheDirty = false;
-  for (const auto& [color, count] : impl_->pending->granted) {
-    if (impl_->pending->leasedColors.count(color) != 0) {
-      impl_->cache[color].heldLeased += count;
-      cacheDirty = true;
-    } else {
-      impl_->held[color] += count;
-      heldDirty = true;
+  for (const auto& [color, grant] : impl_->pending->granted) {
+    auto& e = impl_->borrowed[color];
+    if (e.leaseId == 0) {
+      // The loan died while other colours were pending: the home already
+      // counts these tokens.
+      impl_->orphaned[color] += grant.count;
+      continue;
     }
+    e.held += grant.count;
+    if (!grant.asked) e.homebound += grant.count;
   }
-  if (heldDirty) impl_->journalHeldLocked();
-  if (cacheDirty) impl_->journalLeasesLocked();
+  impl_->journalLeasesLocked();
   ++impl_->stats.requestsGranted;
   impl_->pending.reset();
 }
@@ -1301,13 +1223,10 @@ void TokenManager::request(const TokenList& wants, Duration timeout) {
 void TokenManager::release(const TokenList& gives) {
   std::scoped_lock lock(impl_->mutex);
   if (!impl_->attached) throw TokenError("token manager not attached");
-  const TimePoint tnow = impl_->now();
   const auto availableOf = [&](const TokenColor& color) {
     std::int64_t have = 0;
-    const auto hit = impl_->held.find(color);
-    if (hit != impl_->held.end()) have += hit->second;
-    const auto cit = impl_->cache.find(color);
-    if (cit != impl_->cache.end()) have += cit->second.heldLeased;
+    const auto bit = impl_->borrowed.find(color);
+    if (bit != impl_->borrowed.end()) have += bit->second.held;
     const auto oit = impl_->orphaned.find(color);
     if (oit != impl_->orphaned.end()) have += oit->second;
     return have;
@@ -1333,7 +1252,7 @@ void TokenManager::release(const TokenList& gives) {
                        " are held");
     }
   }
-  bool heldDirty = false, cacheDirty = false;
+  bool dirty = false;
   for (const auto& [color, count] : toGive) {
     if (count == 0) continue;
     std::int64_t remaining = count;
@@ -1346,49 +1265,18 @@ void TokenManager::release(const TokenList& gives) {
       remaining -= n;
       if (oit->second == 0) impl_->orphaned.erase(oit);
     }
-    // 2. Sub-let tokens return to the cache credit (no messages) — unless
-    //    a recall is in force, in which case they go straight home.
-    const auto cit = impl_->cache.find(color);
-    if (cit != impl_->cache.end() && remaining > 0 &&
-        cit->second.heldLeased > 0) {
-      Impl::CacheEntry& e = cit->second;
-      const std::int64_t n = std::min(remaining, e.heldLeased);
-      e.heldLeased -= n;
-      remaining -= n;
-      if (e.leaseId != 0 && tnow < e.recallUntil) {
-        DataMessage ret(kLeaseRet);
-        ret.set("from", Value(static_cast<long long>(impl_->selfIndex)));
-        ret.set("color", Value(color));
-        ret.set("leaseId", Value(static_cast<long long>(e.leaseId)));
-        ret.set("count", Value(static_cast<long long>(n)));
-        impl_->sendTo(impl_->homeOf(color), ret);
-      } else {
-        e.credit += n;
-      }
-      cacheDirty = true;
-    }
-    // 3. Legacy holdings go back through the home.
+    // 2. The rest go back to their loan: to the cache (no messages) or
+    //    home, tokens granted without an ask first.
     if (remaining > 0) {
-      impl_->held[color] -= remaining;
-      if (impl_->held[color] == 0) impl_->held.erase(color);
-      heldDirty = true;
-      const std::size_t home = impl_->homeOf(color);
-      if (home == impl_->selfIndex) {
-        // Self-homed colours are applied synchronously: routing the release
-        // through the loopback would leave a window where the tokens are
-        // neither held nor free, so stats (and grants) lag the caller.
-        impl_->applyReleaseLocked(impl_->selfIndex, color, remaining);
-        continue;
-      }
-      DataMessage rel(kRel);
-      rel.set("from", Value(static_cast<long long>(impl_->selfIndex)));
-      rel.set("color", Value(color));
-      rel.set("count", Value(static_cast<long long>(remaining)));
-      impl_->sendTo(home, rel);
+      Impl::Borrowing& e = impl_->borrowed.at(color);
+      const std::int64_t homebound = std::min(remaining, e.homebound);
+      e.held -= remaining;
+      e.homebound -= homebound;
+      impl_->giveBackLocked(color, e, remaining, homebound);
+      dirty = true;
     }
   }
-  if (heldDirty) impl_->journalHeldLocked();
-  if (cacheDirty) impl_->journalLeasesLocked();
+  if (dirty) impl_->journalLeasesLocked();
 }
 
 void TokenManager::rewire(std::size_t index, const InboxRef& ref) {
@@ -1399,12 +1287,6 @@ void TokenManager::rewire(std::size_t index, const InboxRef& ref) {
                      " out of range");
   }
   impl_->rewireSlotLocked(index, ref);
-  if (impl_->cfg.monitor != nullptr && index != impl_->selfIndex) {
-    const std::string key =
-        "dapple.tok/" + impl_->d.name() + "/" + std::to_string(index);
-    impl_->watchIndex[key] = index;
-    impl_->cfg.monitor->watch(key, ref);
-  }
 }
 
 TokenBag TokenManager::totalTokens(Duration timeout) {
@@ -1430,9 +1312,9 @@ TokenBag TokenManager::totalTokens(Duration timeout) {
 
 TokenBag TokenManager::holdsTokens() const {
   std::scoped_lock lock(impl_->mutex);
-  TokenBag out = impl_->held;
-  for (const auto& [color, e] : impl_->cache) {
-    if (e.heldLeased != 0) out[color] += e.heldLeased;
+  TokenBag out;
+  for (const auto& [color, e] : impl_->borrowed) {
+    if (e.held != 0) out[color] += e.held;
   }
   for (const auto& [color, count] : impl_->orphaned) {
     if (count != 0) out[color] += count;
@@ -1443,7 +1325,7 @@ TokenBag TokenManager::holdsTokens() const {
 TokenBag TokenManager::cachedCredits() const {
   std::scoped_lock lock(impl_->mutex);
   TokenBag out;
-  for (const auto& [color, e] : impl_->cache) {
+  for (const auto& [color, e] : impl_->borrowed) {
     if (e.credit != 0) out[color] = e.credit;
   }
   return out;
@@ -1454,7 +1336,7 @@ TokenBag TokenManager::lentCredits() const {
   TokenBag out;
   for (const auto& [color, home] : impl_->homed) {
     std::int64_t sum = 0;
-    for (const auto& [borrower, lease] : home.leases) sum += lease.credits;
+    for (const auto& [borrower, loan] : home.loans) sum += loan.credits;
     if (sum != 0) out[color] = sum;
   }
   return out;
@@ -1464,13 +1346,10 @@ std::vector<std::string> TokenManager::auditHomeLedger() const {
   std::scoped_lock lock(impl_->mutex);
   std::vector<std::string> violations;
   for (const auto& [color, home] : impl_->homed) {
-    std::int64_t held = 0;
-    for (const auto& [holder, count] : home.holders) held += count;
     std::int64_t lent = 0;
-    for (const auto& [borrower, lease] : home.leases) lent += lease.credits;
-    if (home.free + held + lent != home.total) {
+    for (const auto& [borrower, loan] : home.loans) lent += loan.credits;
+    if (home.free + lent != home.total) {
       violations.push_back(color + ": free=" + std::to_string(home.free) +
-                           " held=" + std::to_string(held) +
                            " lent=" + std::to_string(lent) +
                            " != total=" + std::to_string(home.total));
     }
@@ -1482,15 +1361,11 @@ void TokenManager::returnCachedCredits() {
   std::scoped_lock lock(impl_->mutex);
   if (!impl_->attached) throw TokenError("token manager not attached");
   bool dirty = false;
-  for (auto& [color, e] : impl_->cache) {
+  for (auto& [color, e] : impl_->borrowed) {
     if (e.credit <= 0 || e.leaseId == 0) continue;
-    DataMessage ret(kLeaseRet);
-    ret.set("from", Value(static_cast<long long>(impl_->selfIndex)));
-    ret.set("color", Value(color));
-    ret.set("leaseId", Value(static_cast<long long>(e.leaseId)));
-    ret.set("count", Value(static_cast<long long>(e.credit)));
-    impl_->sendTo(impl_->homeOf(color), ret);
+    const std::int64_t unused = e.credit;
     e.credit = 0;
+    impl_->returnHomeLocked(color, e.leaseId, unused);
     dirty = true;
   }
   if (dirty) impl_->journalLeasesLocked();

@@ -459,7 +459,6 @@ ScenarioResult runScenario(std::uint64_t seed,
         recDurable = std::make_unique<recovery::DurableState>(*dapplets[i],
                                                               recoveryDir);
         mcfg.journal = &recDurable->store();
-        mcfg.incarnation = recDurable->incarnation();
       }
       managers.push_back(std::make_unique<TokenManager>(*dapplets[i], mcfg));
     }
@@ -673,7 +672,6 @@ ScenarioResult runScenario(std::uint64_t seed,
       }
       TokenConfig tcfg = leaseTokCfg;
       tcfg.journal = &recDurable2->store();
-      tcfg.incarnation = recDurable2->incarnation();
       victimTok2 = std::make_unique<TokenManager>(*victim2, tcfg);
       std::vector<InboxRef> refs;
       for (std::size_t i = 0; i < shape.n; ++i) {

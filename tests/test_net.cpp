@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "dapple/net/sim.hpp"
@@ -231,6 +232,38 @@ TEST(SimNetwork, DeterministicDropPatternForSameSeed) {
   };
   EXPECT_EQ(run(123), run(123));
   EXPECT_NE(run(123), run(456));
+}
+
+TEST(SimNetwork, DestroyingAnIdleNetworkNeverHangs) {
+  // The stop must reach a delivery thread that is between its predicate
+  // check and its park; a lost wake-up hangs the join in the destructor.
+  // Eight threads oversubscribe the CPU, so a delivery thread is often
+  // preempted inside that window.
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    threads.emplace_back([t] {
+      for (std::uint64_t i = 0; i < 500; ++i) SimNetwork net(t * 500 + i);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
+TEST(SimNetwork, AwaitQuiescentWaitsForRunningHandlers) {
+  SimNetwork net(6);
+  auto a = net.open();
+  auto b = net.open();
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  b->setHandler([&](const NodeAddress&, std::string_view) {
+    started = true;
+    std::this_thread::sleep_for(milliseconds(30));
+    done = true;
+  });
+  a->send(b->address(), "slow");
+  while (!started) std::this_thread::yield();
+  // The queue is empty now, but the popped datagram's handler still runs.
+  ASSERT_TRUE(net.awaitQuiescent(seconds(5)));
+  EXPECT_TRUE(done) << "awaitQuiescent returned under a running handler";
 }
 
 // ---------------------------------------------------------------------------

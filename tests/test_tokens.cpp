@@ -6,6 +6,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "dapple/net/sim.hpp"
@@ -384,10 +385,16 @@ std::string leaseTempDir(const std::string& tag) {
 }
 
 /// N managers on the virtual clock.  Declaration order makes the clock
-/// outlive the network and dapplets.
+/// outlive the network and dapplets.  With `mainIsWorker` the test thread
+/// becomes a clock worker before anything starts, so virtual time stands
+/// still whenever it is not parked on the clock.
 struct LeaseRig {
-  LeaseRig(std::size_t n, const TokenBag& seed, TokenConfig cfg = leaseCfg())
-      : net(91, simOpts(clock)) {
+  LeaseRig(std::size_t n, const TokenBag& seed, TokenConfig cfg = leaseCfg(),
+           bool mainIsWorker = false)
+      : mainWorker(mainIsWorker ? std::make_optional<ClockSource::WorkerScope>(
+                                      clock)
+                                : std::nullopt),
+        net(91, simOpts(clock)) {
     for (std::size_t i = 0; i < n; ++i) {
       DappletConfig dc;
       dc.clock = &clock;
@@ -423,6 +430,7 @@ struct LeaseRig {
   }
 
   testkit::VirtualClock clock;
+  std::optional<ClockSource::WorkerScope> mainWorker;
   SimNetwork net;
   std::vector<std::unique_ptr<Dapplet>> dapplets;
   std::vector<std::unique_ptr<TokenManager>> managers;
@@ -531,6 +539,90 @@ TEST(TokenLeases, ExpiryAndMemberDownReclaimExactlyOnce) {
                TimeoutError);
 }
 
+TEST(TokenLeases, RoundTripHoldingOutlivesAPartitionLongerThanTheLease) {
+  // A round-trip grant (creditBatch 0) asks for no spare credit, so its
+  // loan has no lease: however long the holder is cut off, the home must
+  // not hand its token to anyone else.
+  TokenConfig cfg = leaseCfg();
+  cfg.creditBatch = 0;
+  const TokenColor color = colorHomedAt(0, 3);
+  LeaseRig rig(3, {{color, 1}}, cfg);
+  auto& holder = *rig.managers[1];
+  auto& other = *rig.managers[2];
+
+  holder.request({{color, 1}});
+  rig.clock.sleepFor(milliseconds(50));  // the grant's ack lands
+  rig.net.setPartition(1, 2, true);      // home (host 1) | holder (host 2)
+  EXPECT_THROW(other.request({{color, 1}}, cfg.leaseDuration * 4),
+               TimeoutError);
+  rig.net.setPartition(1, 2, false);
+  EXPECT_EQ(rig.managers[0]->stats().leasesReclaimed, 0u);
+
+  holder.release({{color, 1}});
+  other.request({{color, 1}}, seconds(10));
+  EXPECT_EQ(other.holdsTokens().at(color), 1);
+}
+
+TEST(TokenLeases, GrantInsideARecallWindowGoesHomeOnRelease) {
+  // A request inside a recall window asks for no spare credit: its grant
+  // carries no lease of its own, is never reclaimed while held, and goes
+  // home on release instead of into the cache.
+  const TokenConfig cfg = leaseCfg();
+  const TokenColor color = colorHomedAt(0, 3);
+  LeaseRig rig(3, {{color, 4}}, cfg, /*mainIsWorker=*/true);
+  auto& home = *rig.managers[0];
+  auto& a = *rig.managers[1];
+  auto& b = *rig.managers[2];
+
+  a.request({{color, 4}});  // the whole pool, on a leased loan
+  std::thread bWaits([&] { b.request({{color, 1}}, seconds(10)); });
+  // Time stands still until b's request is on its way.
+  while (b.stats().cacheMisses == 0) std::this_thread::yield();
+  rig.clock.sleepFor(milliseconds(150));  // the home recalls a's loan
+  a.release({{color, 4}});  // inside a's recall window: all of it goes home
+  rig.clock.sleepFor(milliseconds(50));
+  bWaits.join();  // b holds 1 and caches the other 3
+
+  // Still inside its recall window, a asks for nothing; the home recalls
+  // b's credit to serve it.
+  a.request({{color, 2}}, seconds(10));
+  EXPECT_THROW(home.request({{color, 3}}, cfg.leaseDuration * 2),
+               TimeoutError);
+  EXPECT_EQ(home.stats().leasesReclaimed, 0u);
+  rig.clock.sleepFor(milliseconds(50));  // the home's cancel lands
+
+  a.release({{color, 2}});
+  EXPECT_TRUE(a.holdsTokens().empty());
+  EXPECT_TRUE(a.cachedCredits().empty());
+  b.release({{color, 1}});
+  b.returnCachedCredits();
+  rig.clock.sleepFor(milliseconds(100));
+  EXPECT_TRUE(home.lentCredits().empty());
+}
+
+TEST(TokenLeases, GrantWithoutAnAskOnALeasedLoanStillGoesHome) {
+  // The recall-window grant here lands on a's live leased loan and shares
+  // its lease, yet only the token a asked for returns to the cache.
+  const TokenConfig cfg = leaseCfg();
+  const TokenColor color = colorHomedAt(0, 3);
+  LeaseRig rig(3, {{color, 4}}, cfg, /*mainIsWorker=*/true);
+  auto& a = *rig.managers[1];
+  auto& b = *rig.managers[2];
+
+  a.request({{color, 1}});  // asked: a caches the other 3
+  std::thread bWaits([&] { b.request({{color, 1}}, seconds(10)); });
+  while (b.stats().cacheMisses == 0) std::this_thread::yield();
+  rig.clock.sleepFor(milliseconds(150));  // a's credit is recalled for b
+  bWaits.join();
+  a.request({{color, 1}}, seconds(10));  // inside a's recall window
+  EXPECT_EQ(a.holdsTokens().at(color), 2);
+
+  rig.clock.sleepFor(cfg.leaseDuration * 2);  // the recall window passes
+  a.release({{color, 2}});
+  EXPECT_EQ(a.cachedCredits().at(color), 1);
+  EXPECT_EQ(rig.managers[0]->stats().leasesReclaimed, 0u);
+}
+
 TEST(TokenLeases, RestartReLeasesJournaledHoldingsUnderIncarnationGuard) {
   const std::uint64_t seed = 923;
   testkit::VirtualClock clock;
@@ -555,7 +647,6 @@ TEST(TokenLeases, RestartReLeasesJournaledHoldingsUnderIncarnationGuard) {
   auto bds = std::make_unique<recovery::DurableState>(*b, dir);
   TokenConfig bCfg = leaseCfg();
   bCfg.journal = &bds->store();
-  bCfg.incarnation = bds->incarnation();
   auto mb = std::make_unique<TokenManager>(*b, bCfg);
 
   ma.attach({ma.ref(), mb->ref()}, 0, {{color, 6}});
@@ -578,7 +669,6 @@ TEST(TokenLeases, RestartReLeasesJournaledHoldingsUnderIncarnationGuard) {
   EXPECT_EQ(bds2->incarnation(), 2u);
   TokenConfig b2Cfg = leaseCfg();
   b2Cfg.journal = &bds2->store();
-  b2Cfg.incarnation = bds2->incarnation();
   auto mb2 = std::make_unique<TokenManager>(*b2, b2Cfg);
   mb2->attach({ma.ref(), mb2->ref()}, 1, {});
   // The journaled holdings survive the reboot immediately (provisionally,
@@ -617,20 +707,15 @@ TEST(TokenLeases, ConfigNormalizedClampsNonsense) {
   cfg.probeInterval = milliseconds(-5);
   cfg.creditBatch = -3;
   cfg.leaseDuration = milliseconds(0);
-  cfg.maintenanceInterval = milliseconds(-1);
-  cfg.incarnation = 0;
   std::vector<std::string> notes;
   const TokenConfig n = cfg.normalized(&notes);
   EXPECT_GT(n.probeDelay, Duration::zero());
   EXPECT_GT(n.probeInterval, Duration::zero());
   EXPECT_EQ(n.creditBatch, 0);  // nonsense batch falls back to no caching
   EXPECT_GT(n.leaseDuration, Duration::zero());
-  EXPECT_GT(n.maintenanceInterval, Duration::zero());
-  EXPECT_EQ(n.incarnation, 1u);
   EXPECT_FALSE(notes.empty());
 
-  // A sane config normalizes silently (the derived maintenance interval is
-  // not a clamp).
+  // A sane config normalizes silently.
   std::vector<std::string> clean;
   leaseCfg().normalized(&clean);
   EXPECT_TRUE(clean.empty());
@@ -641,7 +726,6 @@ TEST(TokenLeases, WedgedLeaseKnobsStillGrantAfterClamping) {
   // wheel; the clamp must leave a functioning (if short-leased) manager.
   TokenConfig cfg = leaseCfg();
   cfg.leaseDuration = Duration::zero();
-  cfg.maintenanceInterval = milliseconds(-7);
   const TokenColor color = colorHomedAt(0, 2);
   LeaseRig rig(2, {{color, 3}}, cfg);
   rig.managers[1]->request({{color, 1}});
