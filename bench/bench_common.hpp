@@ -9,10 +9,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "dapple/core/reactor.hpp"
+#include "dapple/reliable/reliable.hpp"
 #include "dapple/serial/wire.hpp"
 
 namespace dapple::benchutil {
@@ -38,6 +42,23 @@ inline WireCodec codecFlag(int argc, char** argv) {
     }
   }
   return WireCodec::kText;
+}
+
+/// Paces standalone endpoints' retransmission scans as a dapplet does: a
+/// one-loop reactor on their clock (null: the system clock) ticks each of
+/// them every `interval`.  Declare it after the endpoints, so that it stops
+/// first.
+inline std::unique_ptr<Reactor> tickEvery(
+    Duration interval, std::initializer_list<ReliableEndpoint*> endpoints,
+    ClockSource* clock = nullptr) {
+  Reactor::Options opts;
+  opts.threads = 1;
+  opts.clock = clock;
+  auto reactor = std::make_unique<Reactor>(opts);
+  for (ReliableEndpoint* endpoint : endpoints) {
+    reactor->every(interval, [endpoint] { endpoint->tick(); });
+  }
+  return reactor;
 }
 
 /// Google-benchmark front door.  Rewrites argv so that:

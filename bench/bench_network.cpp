@@ -130,6 +130,7 @@ int main(int argc, char** argv) {
     cfg.rto = milliseconds(30);
     ReliableEndpoint tx(net.open(), cfg);
     ReliableEndpoint rx(net.open(), cfg);
+    const auto ticks = benchutil::tickEvery(cfg.tickInterval, {&tx, &rx});
     std::mutex mutex;
     std::condition_variable cv;
     std::vector<int> got;

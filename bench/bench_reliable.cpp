@@ -80,6 +80,7 @@ ReliableResult runReliable(double loss, std::uint64_t seed) {
   cfg.codec = gCodec;
   ReliableEndpoint tx(net.open(), cfg);
   ReliableEndpoint rx(net.open(), cfg);
+  const auto ticks = benchutil::tickEvery(cfg.tickInterval, {&tx, &rx});
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<int> got;
@@ -132,6 +133,7 @@ AckEconomy runAckEconomy(bool coalesce, std::uint64_t seed) {
   cfg.ackPiggyback = coalesce;
   ReliableEndpoint tx(net.open(), cfg);
   ReliableEndpoint rx(net.open(), cfg);
+  const auto ticks = benchutil::tickEvery(cfg.tickInterval, {&tx, &rx});
   std::mutex mutex;
   std::condition_variable cv;
   std::size_t got = 0;

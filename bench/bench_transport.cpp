@@ -91,6 +91,7 @@ CellResult runCell(const ReliableConfig& cfg, double loss, Duration delay,
     // The driving thread is a clock worker: virtual time stands still while
     // it builds the rig and schedules the load, so every run starts its
     // timers and its pacing on the same instants.
+    clock.announceWorker();
     const ClockSource::WorkerScope mainIsWorker(clock);
     SimNetwork::Options opts;
     opts.clock = &clock;
@@ -100,6 +101,8 @@ CellResult runCell(const ReliableConfig& cfg, double loss, Duration delay,
         loss, 0.0});
     ReliableEndpoint sender(net.openAt(1), cfg, nullptr, &clock);
     ReliableEndpoint receiver(net.openAt(2), cfg, nullptr, &clock);
+    const auto ticks = benchutil::tickEvery(cfg.tickInterval,
+                                            {&sender, &receiver}, &clock);
 
     // Completion is timestamped on the delivery thread (a clocked worker),
     // so `elapsed` is the exact virtual instant the last message reached

@@ -87,13 +87,10 @@ struct DappletConfig {
   /// outlive the dapplet.
   ClockSource* clock = nullptr;
 
-  /// The configuration a dapplet actually runs with.  Every dapplet paces
-  /// its retransmission scan on its reactor's timer wheel, so the ordering
-  /// layer's own timer thread is switched off (`reliable.externalTick`),
-  /// and the ordering layer inherits the dapplet-level codec choice.
+  /// The configuration a dapplet actually runs with: the ordering layer
+  /// inherits the dapplet-level codec choice.
   DappletConfig normalized() const {
     DappletConfig out = *this;
-    out.reliable.externalTick = true;
     out.reliable.codec = out.wireCodec;
     return out;
   }
@@ -215,7 +212,8 @@ class Dapplet {
   /// Observes (and may consume) every delivery before it is enqueued.
   /// Return true to consume the message — it will not reach the inbox.
   /// Invoked on the transport thread; must be fast.  Used by the snapshot
-  /// service to intercept markers and record channel state.
+  /// services to intercept markers and record channel state.  One tap at a
+  /// time: throws Error while another is installed; null clears it.
   using DeliveryTap = std::function<bool(Inbox& target, Delivery& delivery)>;
   void setDeliveryTap(DeliveryTap tap);
 

@@ -20,9 +20,9 @@
 ///    shared lock.  `post`/`after`/`every` assign work round-robin; a
 ///    periodic timer re-arms on its owning loop.
 ///  * Timers are tick-quantized: a timer armed with delay `d` fires at the
-///    first wheel tick at or after `now + d` (granularity
-///    `Options::tickGranularity`, default 1 ms).  Zero-delay timers fire on
-///    the next tick.
+///    first wheel tick at or after `now + d` (1 ms ticks, 256 slots per
+///    wheel; a timer further out waits extra revolutions).  Zero-delay
+///    timers fire on the next tick.
 ///  * Every wait is routed through the injected `ClockSource`, and loop
 ///    threads register as clock workers, so the same reactor runs unmodified
 ///    under `testkit::VirtualClock` — the virtual clock parks the loops at
@@ -48,11 +48,6 @@ class Reactor {
   struct Options {
     /// Loop threads; 0 selects `std::thread::hardware_concurrency()`.
     unsigned threads = 0;
-    /// Timer wheel slots per loop (ring size; timers further out than
-    /// `slots * tickGranularity` simply wait extra revolutions).
-    std::size_t wheelSlots = 256;
-    /// Wheel tick quantum.  Timer deadlines are rounded up to the next tick.
-    Duration tickGranularity = milliseconds(1);
     /// Time source for the wheel and all loop waits.  Null selects
     /// `ClockSource::system()`; inject a `testkit::VirtualClock` to run the
     /// reactor in virtual time.  Must outlive the reactor.
@@ -88,8 +83,7 @@ class Reactor {
     std::weak_ptr<Timer> timer_;
   };
 
-  /// Default options: hw_concurrency loops, 256-slot wheel, 1 ms ticks,
-  /// system clock.
+  /// Default options: hw_concurrency loops, system clock.
   Reactor();
   explicit Reactor(const Options& options);
 

@@ -48,7 +48,8 @@ namespace dapple {
 /// reproduces the old sender as its baseline (a dark path still collapses
 /// it to one frame).
 struct ReliableConfig {
-  /// Timer granularity for the retransmission scan.
+  /// Period of the retransmission scan: how often the endpoint's owner
+  /// calls `ReliableEndpoint::tick()`.
   Duration tickInterval = milliseconds(5);
   /// Initial retransmission timeout, used for a peer until the first RTT
   /// sample lands.  After that the RTO is srtt + 4*rttvar, clamped to
@@ -90,13 +91,6 @@ struct ReliableConfig {
   /// under content-hashed link randomness — the scenario fuzzer disables
   /// piggybacking for exactly that reason).
   bool ackPiggyback = true;
-  /// When true the endpoint spawns no retransmission-timer thread; the
-  /// owner drives the scan by calling `ReliableEndpoint::tick()` every
-  /// `tickInterval` instead.  This is how reactor-mode dapplets run: one
-  /// shared timer wheel paces every endpoint's ticks, so ten thousand
-  /// dapplets cost zero timer threads (DappletConfig::runtime.reactor sets
-  /// this automatically).
-  bool externalTick = false;
   /// Wire codec for outgoing frames (DATA heads and ACKs).  Incoming frames
   /// are always auto-detected from the per-frame preamble byte, so peers
   /// configured differently interoperate; text stays the default for
@@ -145,8 +139,9 @@ class ReliableEndpoint {
   /// `metrics`, when given, must outlive this endpoint; the layer records
   /// `reliable.*` counters/histograms (ack latency, reorder depth) and
   /// `reliable` trace events into it.  Null disables instrumentation.
-  /// `clock` drives the retransmission timer, timestamps and flush waits
-  /// (null selects `ClockSource::system()`); must outlive this endpoint.
+  /// `clock` gives every timestamp and flush wait (null selects
+  /// `ClockSource::system()`); must outlive this endpoint, and whatever
+  /// calls `tick()` should run on the same clock.
   explicit ReliableEndpoint(std::shared_ptr<Endpoint> raw,
                             ReliableConfig config = {},
                             obs::MetricsRegistry* metrics = nullptr,
@@ -210,13 +205,14 @@ class ReliableEndpoint {
   void resetStream(const NodeAddress& dst, std::uint64_t streamId);
 
   /// One retransmission-scan pass: RTO/fast-retransmit checks, delivery
-  /// timeouts, delayed-ack flush.  With the internal timer thread this runs
-  /// automatically every `tickInterval`; under `externalTick` the owner
-  /// (the dapplet's reactor timer) calls it instead.  Safe from any thread;
-  /// a no-op after close().
+  /// timeouts, delayed-ack flush.  The endpoint starts no thread or timer
+  /// of its own: its owner calls this every `tickInterval` (a dapplet from
+  /// its reactor's timer wheel).  Safe from any thread; a no-op after
+  /// close().
   void tick();
 
-  /// Stops the retransmission timer and closes the raw endpoint.
+  /// Closes the raw endpoint: later sends throw ShutdownError and later
+  /// ticks do nothing.
   void close();
 
   struct Stats {

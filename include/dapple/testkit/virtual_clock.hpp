@@ -4,7 +4,7 @@
 ///
 /// `VirtualClock` is a `ClockSource` whose timeline only moves when it is
 /// safe to move it: every thread registered as a *worker* (transport
-/// delivery threads, retransmission timers, dapplet-spawned workers) must be
+/// delivery threads, reactor loops, dapplet-spawned workers) must be
 /// parked in a clocked wait.  At that moment nothing in the system can make
 /// progress except by time passing, so the clock jumps straight to the
 /// earliest pending deadline — a retransmission tick, a heartbeat, a

@@ -88,7 +88,7 @@ class ClockSource {
 
   /// Worker accounting: a *worker* thread is one whose forward progress is
   /// driven purely by messages and timers (transport delivery threads,
-  /// retransmission timers, spawned dapplet workers).  A virtual clock only
+  /// reactor loops, spawned dapplet workers).  A virtual clock only
   /// advances time when every registered worker is parked in a clocked wait,
   /// so registration is what makes compute "instantaneous" in virtual time.
   /// No-ops on the system clock.
@@ -101,8 +101,10 @@ class ClockSource {
   /// virtual clock that considered that window quiescent could leap
   /// arbitrarily far (e.g. past a delivery timeout before the retransmit
   /// timer ever ran).  An announced-but-unregistered worker blocks
-  /// advancement until its `beginWorker()` lands.  No-op on the system
-  /// clock.
+  /// advancement until its `beginWorker()` lands.  Every `beginWorker()`
+  /// consumes exactly one announcement (a thread becoming a worker itself
+  /// announces first); a virtual clock throws `Error` when none is pending.
+  /// No-op on the system clock.
   virtual void announceWorker() {}
 
   /// RAII worker registration for thread bodies.

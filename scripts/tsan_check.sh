@@ -11,10 +11,10 @@
 # malformed-input hardening), the services whose dispatch runs on reactor
 # loops (session, sync, clocks, ordering groups, termination, directory),
 # the token service's credit/lease machinery (renewal timers racing grants,
-# recalls, and member crashes), and the reliable ordering layer (its timer
-# thread racing ack and data delivery), and the core, network, application
-# and stress suites.  Most run on the virtual clock, so TSan reports
-# reproduce run-to-run.
+# recalls, and member crashes), and the reliable ordering layer (its
+# reactor-paced ticks racing ack and data delivery), and the core,
+# network, application and stress suites.  Most run on the virtual clock,
+# so TSan reports reproduce run-to-run.
 #
 #   scripts/tsan_check.sh [build-dir]     (default: build-tsan)
 set -eu

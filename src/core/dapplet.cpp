@@ -91,10 +91,9 @@ Dapplet::Dapplet(Network& network, std::string name, DappletConfig config)
                                  const std::string& reason) {
     onStreamFailure(dst, streamId, reason);
   });
-  // normalized() switched the endpoint to externalTick, so its
-  // retransmission scan is paced here, on the reactor's timer wheel.
-  // tick() is a no-op after close(), so a firing that races teardown is
-  // harmless.
+  // The endpoint has no timer of its own: its retransmission scan is paced
+  // here, on the reactor's timer wheel.  tick() is a no-op after close(),
+  // so a firing that races teardown is harmless.
   impl_->reliableTick = reactor_->every(
       config_.reliable.tickInterval, [rel = reliable_.get()] { rel->tick(); });
 }
@@ -306,6 +305,9 @@ void Dapplet::addPeerFailureListener(PeerFailureListener listener) {
 
 void Dapplet::setDeliveryTap(DeliveryTap tap) {
   std::scoped_lock lock(impl_->mutex);
+  if (tap && impl_->tap) {
+    throw Error(name_ + ": a delivery tap is already installed");
+  }
   impl_->tap = std::move(tap);
 }
 

@@ -17,6 +17,10 @@ namespace dapple {
 namespace {
 constexpr const char* kLog = "reactor";
 constexpr std::uint64_t kNoTick = std::numeric_limits<std::uint64_t>::max();
+/// Wheel tick quantum: timer deadlines are rounded up to the next tick.
+constexpr Duration kTick = milliseconds(1);
+/// Slots per loop's wheel; a timer further out waits extra revolutions.
+constexpr std::size_t kWheelSlots = 256;
 }  // namespace
 
 /// One scheduled timer.  Owned by its loop's wheel while scheduled (and by
@@ -38,7 +42,7 @@ struct Reactor::TimerHandle::Timer {
 struct Reactor::Loop {
   using Timer = Reactor::TimerHandle::Timer;
 
-  explicit Loop(std::size_t slotCount) : slots(slotCount) {}
+  Loop() : slots(kWheelSlots) {}
 
   mutable std::mutex m;
   std::condition_variable cv;      ///< loop wakeups (tasks, timers, stop)
@@ -134,7 +138,6 @@ struct Reactor::Impl {
 
   ClockSource* clk = nullptr;
   TimePoint epoch{};
-  Duration granularity{};
   std::vector<std::shared_ptr<Loop>> loops;
   std::atomic<std::size_t> rr{0};
   std::atomic<bool> stopped{false};
@@ -143,13 +146,13 @@ struct Reactor::Impl {
     if (when <= epoch) return 0;
     if (when == TimePoint::max()) return kNoTick / 2;
     const auto diff = static_cast<std::uint64_t>((when - epoch).count());
-    const auto g = static_cast<std::uint64_t>(granularity.count());
+    const auto g = static_cast<std::uint64_t>(kTick.count());
     return (diff + g - 1) / g;
   }
 
   std::uint64_t ticksOf(Duration d) const {
     if (d <= Duration::zero()) return 1;
-    const auto g = static_cast<std::uint64_t>(granularity.count());
+    const auto g = static_cast<std::uint64_t>(kTick.count());
     const auto n = (static_cast<std::uint64_t>(d.count()) + g - 1) / g;
     return n == 0 ? 1 : n;
   }
@@ -157,9 +160,9 @@ struct Reactor::Impl {
   TimePoint timeOf(std::uint64_t tick) const {
     const auto maxTicks = static_cast<std::uint64_t>(
         (TimePoint::max() - epoch).count() /
-        granularity.count());
+        kTick.count());
     if (tick >= maxTicks) return TimePoint::max();
-    return epoch + granularity * static_cast<std::int64_t>(tick);
+    return epoch + kTick * static_cast<std::int64_t>(tick);
   }
 
   const std::shared_ptr<Loop>& pick() {
@@ -303,16 +306,11 @@ Reactor::Reactor(const Options& options) : impl_(std::make_unique<Impl>()) {
   impl_->clk =
       options.clock != nullptr ? options.clock : &ClockSource::system();
   impl_->epoch = impl_->clk->now();
-  impl_->granularity =
-      options.tickGranularity > Duration::zero()
-          ? options.tickGranularity
-          : std::chrono::duration_cast<Duration>(milliseconds(1));
   unsigned threads = options.threads;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t slots = std::max<std::size_t>(2, options.wheelSlots);
   impl_->loops.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
-    auto loop = std::make_shared<Loop>(slots);
+    auto loop = std::make_shared<Loop>();
     loop->clk = impl_->clk;
     impl_->loops.push_back(std::move(loop));
   }

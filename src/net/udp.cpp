@@ -114,7 +114,7 @@ class UdpNetwork::EndpointImpl final : public Endpoint {
 #ifdef __linux__
     // One sendmmsg syscall per (up to) kBatch datagrams instead of one
     // sendto each.  Oversize datagrams are counted and skipped — the batch
-    // paths (retransmit sweep, ack flush) run on the timer thread, where a
+    // paths (retransmit sweep, ack flush) run in the endpoint's tick, where a
     // throw has nowhere useful to go; loss semantics match a dropped
     // datagram, which the reliable layer absorbs.
     constexpr std::size_t kBatch = 64;

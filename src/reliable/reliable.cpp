@@ -7,7 +7,6 @@
 #include <map>
 #include <mutex>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -180,7 +179,7 @@ struct ReliableEndpoint::Impl {
   std::shared_ptr<Endpoint> raw;
   std::vector<std::string> clampNotes;  ///< normalized() adjustments (traced)
   const ReliableConfig cfg;
-  ClockSource* const clk;  ///< all timestamps, timer ticks and flush waits
+  ClockSource* const clk;  ///< all timestamps and flush waits
 
   // Optional instrumentation (null when no registry was supplied).
   obs::Counter* mDatagramsIn = nullptr;
@@ -194,12 +193,6 @@ struct ReliableEndpoint::Impl {
 
   mutable std::mutex mutex;
   std::condition_variable flushed;
-
-  /// Timer pacing: the retransmission scan parks here between ticks so a
-  /// virtual clock can advance straight to the next tick instead of the
-  /// thread wall-sleeping (`timerMutex` only guards the parked wait).
-  std::mutex timerMutex;
-  std::condition_variable timerWake;
 
   DeliverFn deliver;
   FailFn onFailure;
@@ -277,7 +270,6 @@ struct ReliableEndpoint::Impl {
 
   Stats stats;
   bool closed = false;
-  std::jthread timer;
 
   // ---------------------------------------------------------------------
 
@@ -756,22 +748,6 @@ struct ReliableEndpoint::Impl {
       if (failFn) failFn(dst, streamId, reason);
     }
   }
-
-  void runTimer(std::stop_token stop) {
-    // A worker in virtual time: the clock advances to the next tick the
-    // moment everything else is parked, so a lossy scenario's retransmit
-    // schedule plays out in microseconds of wall time.
-    ClockSource::WorkerScope workerScope(*clk);
-    std::unique_lock lock(timerMutex);
-    while (!stop.stop_requested()) {
-      clk->waitFor(lock, timerWake, cfg.tickInterval,
-                   [&] { return stop.stop_requested(); });
-      if (stop.stop_requested()) break;
-      lock.unlock();
-      tick();
-      lock.lock();
-    }
-  }
 };
 
 ReliableEndpoint::ReliableEndpoint(std::shared_ptr<Endpoint> raw,
@@ -783,14 +759,6 @@ ReliableEndpoint::ReliableEndpoint(std::shared_ptr<Endpoint> raw,
       [impl = impl_.get()](const NodeAddress& src, std::string_view payload) {
         impl->onDatagram(src, payload);
       });
-  if (!impl_->cfg.externalTick) {
-    // Announce before spawn: a virtual clock advancing in the window before
-    // the timer thread registers could leap past the delivery timeout and
-    // fail streams that never got a single retransmit.
-    impl_->clk->announceWorker();
-    impl_->timer = std::jthread(
-        [impl = impl_.get()](std::stop_token stop) { impl->runTimer(stop); });
-  }
 }
 
 void ReliableEndpoint::tick() { impl_->tick(); }
@@ -929,9 +897,6 @@ void ReliableEndpoint::close() {
     if (impl_->closed) return;
     impl_->closed = true;
   }
-  impl_->timer.request_stop();
-  impl_->clk->notifyAll(impl_->timerWake);  // wake the parked tick wait
-  if (impl_->timer.joinable()) impl_->timer.join();
   impl_->raw->close();
   impl_->clk->notifyAll(impl_->flushed);
 }

@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "dapple/util/error.hpp"
+
 namespace dapple::testkit {
 
 namespace {
@@ -331,13 +333,19 @@ void VirtualClock::interruptAll() {
 }
 
 void VirtualClock::beginWorker(WorkerKind kind) {
-  tlsWorker = true;
-  tlsDelivery = kind == WorkerKind::kDelivery;
   {
     std::scoped_lock lock(impl_->m);
+    // Consuming someone else's announcement would let the clock advance
+    // while that announced thread is still starting.
+    if (impl_->announced == 0) {
+      throw Error("VirtualClock: beginWorker() without a pending "
+                  "announceWorker()");
+    }
+    --impl_->announced;
     ++impl_->workers;
-    if (impl_->announced > 0) --impl_->announced;
   }
+  tlsWorker = true;
+  tlsDelivery = kind == WorkerKind::kDelivery;
   impl_->changed.notify_all();
 }
 

@@ -324,6 +324,28 @@ TEST(Dapplet, SnapshotCriterionHoldsOnEveryDelivery) {
   b.stop();
 }
 
+TEST(Dapplet, SecondDeliveryTapThrowsUntilTheFirstIsCleared) {
+  SimNetwork net(34);
+  Dapplet d(net, "d");
+  Inbox& in = d.createInbox("in");
+  Outbox& out = d.createOutbox();
+  out.add(in.ref());
+  std::atomic<int> firstSaw{0};
+  d.setDeliveryTap([&](Inbox&, Delivery&) {
+    ++firstSaw;
+    return false;
+  });
+  EXPECT_THROW(d.setDeliveryTap([](Inbox&, Delivery&) { return true; }),
+               Error);
+  // The failed install left the first tap in place.
+  out.send(msg("ping", 1));
+  ASSERT_TRUE(in.receiveFor(seconds(5)).has_value());
+  EXPECT_EQ(firstSaw.load(), 1);
+  d.setDeliveryTap(nullptr);
+  EXPECT_NO_THROW(d.setDeliveryTap([](Inbox&, Delivery&) { return false; }));
+  d.stop();
+}
+
 TEST(LamportClock, Primitives) {
   LamportClock clock;
   EXPECT_EQ(clock.now(), 0u);

@@ -183,9 +183,9 @@ TEST(Liveness, ConfigInheritsFromDappletAndOverrides) {
   e.stop();
 }
 
-// normalized() folds the one runtime into the reliable layer (every
-// dapplet ticks its endpoint from its reactor's wheel) and leaves the nested
-// liveness defaults alone.
+// normalized() leaves the runtime unset (the dapplet then ticks its
+// endpoint from a reactor of its own), hands the codec to the reliable
+// layer and leaves the nested liveness defaults alone.
 TEST(Liveness, NormalizedTicksOnTheReactorAndDefaultsHold) {
   SimNetwork net(906);
   DappletConfig cfg;
@@ -193,7 +193,6 @@ TEST(Liveness, NormalizedTicksOnTheReactorAndDefaultsHold) {
   Dapplet d(net, "d", cfg);
 
   EXPECT_EQ(d.config().runtime.reactor, nullptr);
-  EXPECT_TRUE(d.config().reliable.externalTick);
   EXPECT_EQ(d.config().reliable.codec, WireCodec::kBinary);
   // Nested liveness defaults survive normalization untouched.
   EXPECT_EQ(d.config().liveness.heartbeatInterval, milliseconds(50));

@@ -13,6 +13,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,12 +147,11 @@ TEST(Reactor, PeriodicReArmsAtFixedRateUnderVirtualClock) {
 // the exact deadline, not a revolution early.
 TEST(Reactor, WheelCascadePastOneRevolution) {
   testkit::VirtualClock clock;
-  Reactor::Options opts = onClock(clock);
-  opts.wheelSlots = 8;  // tiny ring: one revolution = 8 ms
-  Reactor reactor(opts);
-  // 3 ms (inside the ring), 8 ms (exactly one revolution), 11 ms (same slot
-  // as 3 ms, next revolution), 20 ms (2.5 revolutions), 64 ms (8 of them).
-  const std::vector<int> delaysMs = {3, 8, 11, 20, 64};
+  Reactor reactor(onClock(clock));  // 256 slots: one revolution = 256 ms
+  // 96 ms (inside the ring), 256 ms (exactly one revolution), 352 ms (same
+  // slot as 96 ms, next revolution), 640 ms (2.5 revolutions), 2048 ms (8
+  // of them).
+  const std::vector<int> delaysMs = {96, 256, 352, 640, 2048};
   std::mutex m;
   std::vector<std::pair<int, TimePoint>> fires;
   std::promise<void> all;
@@ -259,8 +259,8 @@ DappletConfig reactorConfig(testkit::VirtualClock& clock, Reactor& reactor,
 
 // Full event-driven stack: two dapplets share one reactor, the receiver
 // takes deliveries through Inbox::onMessage (no blocked thread), and the
-// sender's retransmission ticks run on the wheel (externalTick) — proven by
-// making the link lossy, so nothing arrives without wheel-driven resends.
+// sender's retransmission ticks run on the wheel — proven by making the
+// link lossy, so nothing arrives without wheel-driven resends.
 TEST(ReactorDapplet, OnMessageDeliversInOrderOverLossyLink) {
   const std::uint64_t seed = testkit::testSeed(4242);
   DAPPLE_SEED_TRACE(seed);
@@ -274,8 +274,6 @@ TEST(ReactorDapplet, OnMessageDeliversInOrderOverLossyLink) {
 
   Dapplet sender(net, "sender", reactorConfig(clock, reactor, 1));
   Dapplet receiver(net, "receiver", reactorConfig(clock, reactor, 2));
-  // externalTick was folded in by normalized(): no timer thread exists.
-  EXPECT_TRUE(sender.config().reliable.externalTick);
 
   Inbox& in = receiver.createInbox("sink");
   std::mutex m;
@@ -365,25 +363,25 @@ TEST(ReactorDapplet, ReentrantOnMessageThrows) {
 // every() and inbox handlers, and stop() shuts it down.
 TEST(ReactorDapplet, OwnedReactorRunsFromConstructionAndStopsWithDapplet) {
   testkit::VirtualClock clock;
+  // Time stands still until `holdTime` ends: the reliable tick cannot be
+  // off the wheel, firing, while the stats are read, and `start` and the
+  // arm below share one instant.
+  clock.announceWorker();
+  std::optional<ClockSource::WorkerScope> holdTime(std::in_place, clock);
   SimNetwork::Options simOpts;
   simOpts.clock = &clock;
   SimNetwork net(testkit::testSeed(9), simOpts);
   DappletConfig cfg;
   cfg.clock = &clock;
   Dapplet d(net, "owned", cfg);
-  EXPECT_TRUE(d.config().reliable.externalTick);  // ticked from the wheel
   EXPECT_EQ(d.reactor().threadCount(), 1u);
   EXPECT_EQ(&d.reactor().clock(), static_cast<ClockSource*>(&clock));
   EXPECT_EQ(d.reactor().stats().timersPending, 1u);  // the reliable tick
 
   std::promise<TimePoint> fired;
-  TimePoint start;
-  {
-    clock.announceWorker();  // see ZeroDelayTimerFiresOnNextTick
-    ClockSource::WorkerScope arming(clock);
-    start = clock.now();
-    d.after(milliseconds(4), [&] { fired.set_value(clock.now()); });
-  }
+  const TimePoint start = clock.now();
+  d.after(milliseconds(4), [&] { fired.set_value(clock.now()); });
+  holdTime.reset();
   EXPECT_EQ(fired.get_future().get(), start + milliseconds(4));
   d.stop();  // must also stop the owned reactor without deadlock
   EXPECT_FALSE(d.after(milliseconds(1), [] {}).active());
@@ -424,6 +422,19 @@ TEST(OneRuntime, DefaultDappletWithServicesAddsOneThread) {
     Dapplet d(net, "host");
     ServiceHost services(d);
     EXPECT_EQ(osThreads(), before + 1);
+  }
+  EXPECT_EQ(osThreads(), before);
+}
+
+// The ordering layer starts no thread of its own: a standalone endpoint is
+// ticked by its owner, as a dapplet ticks its endpoint from its reactor.
+TEST(OneRuntime, StandaloneReliableEndpointsAddNoThread) {
+  SimNetwork net(testkit::testSeed(19));
+  const std::size_t before = osThreads();
+  {
+    ReliableEndpoint a(net.open());
+    ReliableEndpoint b(net.open());
+    EXPECT_EQ(osThreads(), before);
   }
   EXPECT_EQ(osThreads(), before);
 }

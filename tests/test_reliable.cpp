@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string_view>
 #include <vector>
 
+#include "dapple/core/reactor.hpp"
 #include "dapple/net/sim.hpp"
 #include "dapple/reliable/reliable.hpp"
 #include "dapple/testkit/virtual_clock.hpp"
@@ -19,7 +21,13 @@
 namespace dapple {
 namespace {
 
+/// Collects deliveries per stream.  Waits and wake-ups go through `clock`,
+/// so a test thread that is a clock worker waits in virtual time.
 struct OrderedSink {
+  explicit OrderedSink(ClockSource& clock = ClockSource::system())
+      : clock(clock) {}
+
+  ClockSource& clock;
   std::mutex mutex;
   std::condition_variable cv;
   // stream id -> payloads in delivery order
@@ -30,14 +38,14 @@ struct OrderedSink {
                   std::string_view payload) {
       std::scoped_lock lock(mutex);
       streams[streamId].emplace_back(payload);  // view dies with the call
-      cv.notify_all();
+      clock.notifyAll(cv);
     };
   }
 
   bool waitFor(std::uint64_t streamId, std::size_t n, Duration timeout) {
     std::unique_lock lock(mutex);
-    return cv.wait_for(lock, timeout,
-                       [&] { return streams[streamId].size() >= n; });
+    return clock.waitFor(lock, cv, timeout,
+                         [&] { return streams[streamId].size() >= n; });
   }
 
   std::vector<std::string> get(std::uint64_t streamId) {
@@ -55,10 +63,27 @@ ReliableConfig fastConfig() {
   return cfg;
 }
 
+/// Paces the endpoints' retransmission scans as a dapplet does: a one-loop
+/// reactor on their clock (null: the system clock) ticks each of them every
+/// `interval`.  Declare it after the endpoints, so that it stops first.
+std::unique_ptr<Reactor> tickEvery(
+    Duration interval, std::initializer_list<ReliableEndpoint*> endpoints,
+    ClockSource* clock = nullptr) {
+  Reactor::Options opts;
+  opts.threads = 1;
+  opts.clock = clock;
+  auto reactor = std::make_unique<Reactor>(opts);
+  for (ReliableEndpoint* endpoint : endpoints) {
+    reactor->every(interval, [endpoint] { endpoint->tick(); });
+  }
+  return reactor;
+}
+
 TEST(Reliable, InOrderDeliveryOnCleanLink) {
   SimNetwork net(1);
   ReliableEndpoint a(net.open(), fastConfig());
   ReliableEndpoint b(net.open(), fastConfig());
+  const auto ticks = tickEvery(fastConfig().tickInterval, {&a, &b});
   OrderedSink sink;
   b.setDeliver(sink.fn());
   for (int i = 0; i < 100; ++i) {
@@ -82,6 +107,7 @@ TEST_P(ReliableUnderAdversity, FifoPreservedAndComplete) {
                                 loss, dup});
   ReliableEndpoint a(net.open(), fastConfig());
   ReliableEndpoint b(net.open(), fastConfig());
+  const auto ticks = tickEvery(fastConfig().tickInterval, {&a, &b});
   OrderedSink sink;
   b.setDeliver(sink.fn());
 
@@ -116,6 +142,7 @@ TEST(Reliable, StreamsAreIndependentFifos) {
       LinkParams{microseconds(100), microseconds(1000), 0.02, 0.0});
   ReliableEndpoint a(net.open(), fastConfig());
   ReliableEndpoint b(net.open(), fastConfig());
+  const auto ticks = tickEvery(fastConfig().tickInterval, {&a, &b});
   OrderedSink sink;
   b.setDeliver(sink.fn());
   for (int i = 0; i < 50; ++i) {
@@ -135,6 +162,7 @@ TEST(Reliable, RetransmitsAreCounted) {
   net.setDefaultLink(LinkParams{microseconds(0), microseconds(0), 0.3, 0.0});
   ReliableEndpoint a(net.open(), fastConfig());
   ReliableEndpoint b(net.open(), fastConfig());
+  const auto ticks = tickEvery(fastConfig().tickInterval, {&a, &b});
   OrderedSink sink;
   b.setDeliver(sink.fn());
   for (int i = 0; i < 50; ++i) a.send(b.address(), 1, "x");
@@ -150,6 +178,7 @@ TEST(Reliable, DeliveryTimeoutFailsStreamAndThrowsOnNextSend) {
   ReliableConfig cfg = fastConfig();
   cfg.deliveryTimeout = milliseconds(150);
   ReliableEndpoint a(std::move(rawA), cfg);
+  const auto ticks = tickEvery(cfg.tickInterval, {&a});
 
   // Destination doesn't exist: frames vanish, the timeout must fire.
   std::mutex mutex;
@@ -182,6 +211,7 @@ TEST(Reliable, DeliveryTimeoutFailsStreamAndThrowsOnNextSend) {
 TEST(Reliable, FlushTimesOutWhenPeerUnreachable) {
   SimNetwork net(5);
   ReliableEndpoint a(net.open(), fastConfig());
+  const auto ticks = tickEvery(fastConfig().tickInterval, {&a});
   a.send(NodeAddress{50, 50}, 1, "unreachable");
   EXPECT_FALSE(a.flush(milliseconds(100)));
 }
@@ -199,6 +229,7 @@ TEST(Reliable, LargePayloadSurvives) {
                                 0.0});
   ReliableEndpoint a(net.open(), fastConfig());
   ReliableEndpoint b(net.open(), fastConfig());
+  const auto ticks = tickEvery(fastConfig().tickInterval, {&a, &b});
   OrderedSink sink;
   b.setDeliver(sink.fn());
   std::string big(30000, 'q');
@@ -213,12 +244,23 @@ TEST(Reliable, LargePayloadSurvives) {
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Two reliable endpoints over a virtual-time SimNetwork.
+/// Announces the calling thread as a clock worker-to-be; pass the result
+/// straight to its WorkerScope.
+ClockSource& announced(ClockSource& clock) {
+  clock.announceWorker();
+  return clock;
+}
+
+/// Two reliable endpoints over a virtual-time SimNetwork.  The test thread
+/// is a clock worker for the rig's life, so virtual time moves only while
+/// it waits on the clock.
 struct VirtualPair {
   testkit::VirtualClock clock;
+  const ClockSource::WorkerScope mainIsWorker{announced(clock)};
   SimNetwork net;
   ReliableEndpoint a;
   ReliableEndpoint b;
+  const std::unique_ptr<Reactor> ticks;
 
   explicit VirtualPair(std::uint64_t seed, ReliableConfig cfg,
                        LinkParams link = LinkParams{microseconds(50),
@@ -231,14 +273,8 @@ struct VirtualPair {
               return o;
             }()),
         a((net.setDefaultLink(link), net.open()), cfg, nullptr, &clock),
-        b(net.open(), cfg, nullptr, &clock) {}
-
-  ~VirtualPair() {
-    // Endpoints must close before the clock dies (member order handles the
-    // network; close explicitly so timers stop first).
-    a.close();
-    b.close();
-  }
+        b(net.open(), cfg, nullptr, &clock),
+        ticks(tickEvery(cfg.tickInterval, {&a, &b}, &clock)) {}
 };
 }  // namespace
 
@@ -246,7 +282,7 @@ TEST(ReliableAcks, CoalescingCutsAckDatagramsOnBurst) {
   ReliableConfig cfg = fastConfig();
   cfg.ackPiggyback = false;  // isolate the threshold/delay machinery
   VirtualPair pair(41, cfg);
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   // One sendMany burst: every frame shares the refcounted body and all of
   // them land in a single simulator sweep, so the flush pattern is purely
@@ -289,7 +325,7 @@ TEST(ReliableAcks, DelayedAcksNeverStallDeliveryOrFailStreams) {
   cfg.ackPiggyback = false;
   cfg.deliveryTimeout = seconds(2);
   VirtualPair pair(42, cfg);
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   for (int i = 0; i < 10; ++i) {
     pair.a.send(pair.b.address(), 1, std::to_string(i));
@@ -309,7 +345,7 @@ TEST(ReliableAcks, SackSemanticsSurviveLossReorderAndDuplication) {
   VirtualPair pair(43, cfg,
                    LinkParams{microseconds(50), microseconds(2000), 0.10,
                               0.20});
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   // Burst in one sendMany so every frame is in flight at once: the 2ms
   // jitter then guarantees reordering regardless of scheduling.
@@ -341,7 +377,7 @@ TEST(ReliableAcks, DuplicateFramesDoNotTriggerAckStorm) {
   cfg.ackPiggyback = false;
   VirtualPair pair(44, cfg,
                    LinkParams{microseconds(50), microseconds(0), 0.0, 1.0});
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   // One burst, so originals and duplicates all arrive in one sweep and the
   // ack count reflects the threshold, not timer interleavings.
@@ -373,8 +409,8 @@ TEST(ReliableAcks, PiggybackedAcksRideReverseTraffic) {
   cfg.ackDelay = milliseconds(500);
   cfg.deliveryTimeout = seconds(30);
   VirtualPair pair(45, cfg);
-  OrderedSink sinkA;
-  OrderedSink sinkB;
+  OrderedSink sinkA(pair.clock);
+  OrderedSink sinkB(pair.clock);
   pair.a.setDeliver(sinkA.fn());
   pair.b.setDeliver(sinkB.fn());
   constexpr int kRounds = 40;
@@ -406,38 +442,29 @@ TEST(ReliableAcks, PiggybackedAcksRideReverseTraffic) {
 
 namespace {
 /// Two reliable endpoints on DISTINCT simulated hosts over virtual time,
-/// so setPartition(1, 2, ...) can cut the path between them.
+/// so setPartition(1, 2, ...) can cut the path between them.  As in
+/// VirtualPair, the test thread is a clock worker for the rig's life.
 struct VirtualDuo {
   testkit::VirtualClock clock;
-  /// Set by `holdTime`: the test thread is a clock worker from before any
-  /// timer or delivery thread is announced, so virtual time moves only
-  /// while it waits on the clock.  Reset it before a wall-time wait.
-  std::unique_ptr<ClockSource::WorkerScope> mainIsWorker;
+  const ClockSource::WorkerScope mainIsWorker{announced(clock)};
   SimNetwork net;
   ReliableEndpoint a;
   ReliableEndpoint b;
+  const std::unique_ptr<Reactor> ticks;
 
   explicit VirtualDuo(std::uint64_t seed, ReliableConfig cfg,
                       LinkParams link = LinkParams{microseconds(50),
                                                    microseconds(0), 0.0,
-                                                   0.0},
-                      bool holdTime = false)
-      : mainIsWorker(holdTime
-                         ? std::make_unique<ClockSource::WorkerScope>(clock)
-                         : nullptr),
-        net(seed,
+                                                   0.0})
+      : net(seed,
             [this] {
               SimNetwork::Options o;
               o.clock = &clock;
               return o;
             }()),
         a((net.setDefaultLink(link), net.openAt(1)), cfg, nullptr, &clock),
-        b(net.openAt(2), cfg, nullptr, &clock) {}
-
-  ~VirtualDuo() {
-    a.close();
-    b.close();
-  }
+        b(net.openAt(2), cfg, nullptr, &clock),
+        ticks(tickEvery(cfg.tickInterval, {&a, &b}, &clock)) {}
 };
 }  // namespace
 
@@ -449,7 +476,7 @@ TEST(ReliableAdaptive, SrttConvergesToPathRttAndStopsSpuriousRetransmits) {
   cfg.maxRto = milliseconds(500);
   VirtualDuo pair(50, cfg,
                   LinkParams{milliseconds(20), microseconds(0), 0.0, 0.0});
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   constexpr int kWarm = 40;
   for (int i = 0; i < kWarm; ++i) {
@@ -489,7 +516,7 @@ TEST(ReliableAdaptive, KarnsRuleNeverSamplesRetransmittedFrames) {
   cfg.deliveryTimeout = seconds(5);
   VirtualDuo pair(51, cfg,
                   LinkParams{milliseconds(30), microseconds(0), 0.0, 0.0});
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   for (int i = 0; i < 10; ++i) {
     pair.a.send(pair.b.address(), 1, std::to_string(i));
@@ -524,7 +551,7 @@ TEST(ReliableAdaptive, WindowGrowsFromSlowStartAndDefersExcessFrames) {
   ReliableConfig cfg = fastConfig();
   VirtualDuo pair(53, cfg,
                   LinkParams{milliseconds(1), microseconds(0), 0.0, 0.0});
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   constexpr int kCount = 64;
   std::vector<OutSend> sends;
@@ -556,7 +583,7 @@ TEST(ReliableAdaptive, TimerExpiryCollapsesWindowAndRecoveryRegrows) {
   cfg.deliveryTimeout = seconds(5);
   VirtualDuo pair(54, cfg,
                   LinkParams{milliseconds(1), microseconds(0), 0.0, 0.0});
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   // Grow the window with a clean burst first.
   std::vector<OutSend> sends;
@@ -602,8 +629,8 @@ TEST(ReliableAdaptive, TimerExpiryWhileAcksFlowHalvesWindow) {
   cfg.deliveryTimeout = seconds(10);
   cfg.fastRetransmitDups = UINT32_MAX;
   const LinkParams clean{milliseconds(20), microseconds(0), 0.0, 0.0};
-  VirtualDuo pair(62, cfg, clean, /*holdTime=*/true);
-  OrderedSink sink;
+  VirtualDuo pair(62, cfg, clean);
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   pair.net.setHostLink(
       1, 2, LinkParams{milliseconds(20), microseconds(0), 1.0, 0.0});
@@ -622,7 +649,6 @@ TEST(ReliableAdaptive, TimerExpiryWhileAcksFlowHalvesWindow) {
   EXPECT_GE(probe.cwnd, static_cast<double>(probe.ssthresh));
   EXPECT_EQ(stats.windowCuts, 1u);
   EXPECT_EQ(stats.windowCollapses, 0u);
-  pair.mainIsWorker.reset();
   ASSERT_TRUE(sink.waitFor(1, 4, seconds(10)));
   ASSERT_TRUE(pair.a.flush(seconds(10)));
   const auto got = sink.get(1);
@@ -641,9 +667,8 @@ TEST(ReliableAdaptive, ResetStreamForgetsTheOldEpochsAckClock) {
   cfg.rto = milliseconds(100);
   cfg.deliveryTimeout = seconds(10);
   VirtualDuo pair(63, cfg,
-                  LinkParams{milliseconds(20), microseconds(0), 0.0, 0.0},
-                  /*holdTime=*/true);
-  OrderedSink sink;
+                  LinkParams{milliseconds(20), microseconds(0), 0.0, 0.0});
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   for (int i = 0; i < 4; ++i) {
     pair.a.send(pair.b.address(), 1, "old-" + std::to_string(i));
@@ -664,7 +689,6 @@ TEST(ReliableAdaptive, ResetStreamForgetsTheOldEpochsAckClock) {
   EXPECT_EQ(stats.windowCuts, 1u);
   EXPECT_EQ(stats.windowCollapses, 1u);
   pair.net.setPartition(1, 2, false);
-  pair.mainIsWorker.reset();
   ASSERT_TRUE(sink.waitFor(1, 6, seconds(10)));
   const auto got = sink.get(1);
   EXPECT_EQ(got[4], "new-0");
@@ -706,7 +730,7 @@ TEST(ReliableAdaptive, PacedStreamOnTwentyMsPathNeverTimesOutSpuriously) {
     testkit::VirtualClock clock;
     // Time stands still while this thread builds the rig and schedules the
     // load, so every run starts on the same instants.
-    const ClockSource::WorkerScope mainIsWorker(clock);
+    const ClockSource::WorkerScope mainIsWorker(announced(clock));
     SimNetwork::Options opts;
     opts.clock = &clock;
     SimNetwork net(60 + static_cast<std::uint64_t>(run), opts);
@@ -715,6 +739,8 @@ TEST(ReliableAdaptive, PacedStreamOnTwentyMsPathNeverTimesOutSpuriously) {
     cfg.deliveryTimeout = seconds(60);
     ReliableEndpoint sender(net.openAt(1), cfg, nullptr, &clock);
     ReliableEndpoint receiver(net.openAt(2), cfg, nullptr, &clock);
+    const auto ticks =
+        tickEvery(cfg.tickInterval, {&sender, &receiver}, &clock);
     const TimePoint start = clock.now();
     std::atomic<int> delivered{0};
     std::atomic<TimePoint::rep> lastDelivery{0};
@@ -753,7 +779,7 @@ TEST(ReliableAdaptive, FastRetransmitRecoversBeforeTimer) {
   cfg.initialCwnd = 64;  // keep the whole burst in flight
   VirtualDuo pair(55, cfg,
                   LinkParams{milliseconds(1), microseconds(0), 0.0, 0.0});
-  OrderedSink sink;
+  OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
   for (int i = 0; i < 10; ++i) {
     pair.a.send(pair.b.address(), 1, std::to_string(i));
@@ -798,7 +824,7 @@ TEST(ReliableAdaptive, FailedStreamStaysSilentAndFlushExReportsIt) {
       [&](const NodeAddress&, std::uint64_t, const std::string&) {
         std::scoped_lock lock(mutex);
         failed = true;
-        cv.notify_all();
+        pair.clock.notifyAll(cv);
       });
   for (int i = 0; i < 6; ++i) {
     pair.a.send(pair.b.address(), 1, std::to_string(i));
@@ -807,7 +833,8 @@ TEST(ReliableAdaptive, FailedStreamStaysSilentAndFlushExReportsIt) {
   EXPECT_EQ(pair.a.stats().windowDeferred, 4u);
   {
     std::unique_lock lock(mutex);
-    ASSERT_TRUE(cv.wait_for(lock, seconds(10), [&] { return failed; }));
+    ASSERT_TRUE(
+        pair.clock.waitFor(lock, cv, seconds(10), [&] { return failed; }));
   }
   EXPECT_EQ(pair.a.stats().failures, 1u);
   EXPECT_EQ(pair.a.stats().retransmits, 0u);
@@ -830,6 +857,7 @@ TEST(ReliableAdaptive, FlushExTimesOutWhileFramesAreInFlight) {
   ReliableConfig cfg = fastConfig();
   cfg.deliveryTimeout = seconds(30);
   ReliableEndpoint a(net.open(), cfg);
+  const auto ticks = tickEvery(cfg.tickInterval, {&a});
   a.send(NodeAddress{50, 50}, 1, "unreachable");
   EXPECT_EQ(a.flushEx(milliseconds(100)),
             ReliableEndpoint::FlushOutcome::kTimedOut);
@@ -901,6 +929,7 @@ TEST(Reliable, DuplicatesOnCleanRetransmitPathAreDropped) {
   cfg.rto = milliseconds(5);  // far below RTT: every frame retransmits
   ReliableEndpoint a(net.open(), cfg);
   ReliableEndpoint b(net.open(), fastConfig());
+  const auto ticks = tickEvery(cfg.tickInterval, {&a, &b});
   OrderedSink sink;
   b.setDeliver(sink.fn());
   for (int i = 0; i < 20; ++i) a.send(b.address(), 1, std::to_string(i));

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "dapple/serial/data_message.hpp"
 #include "dapple/testkit/seed.hpp"
 #include "dapple/testkit/virtual_clock.hpp"
+#include "dapple/util/error.hpp"
 #include "dapple/util/sync_queue.hpp"
 
 namespace dapple {
@@ -61,6 +63,33 @@ TEST(VirtualClock, SleepingWorkerDrivesAutoAdvance) {
   worker.join();
   EXPECT_TRUE(woke);
   EXPECT_GE(clock.now() - start, seconds(3600));
+}
+
+TEST(VirtualClock, UnannouncedWorkerScopeThrows) {
+  // Every begin consumes exactly one announcement.  A begin without one
+  // would otherwise take the announcement of a thread still starting, and
+  // the clock could run on before that thread registers.
+  VirtualClock clock;
+  EXPECT_THROW(ClockSource::WorkerScope scope(clock), Error);
+  EXPECT_EQ(clock.workerCount(), 0u);
+
+  // An announcement stays pending until a worker begins (the clock is
+  // never quiescent meanwhile), and that begin leaves none for another.
+  clock.announceWorker();
+  EXPECT_FALSE(clock.settle(milliseconds(50)));
+  std::promise<void> registered;
+  std::promise<void> done;
+  std::thread worker([&] {
+    ClockSource::WorkerScope scope(clock);
+    registered.set_value();
+    done.get_future().wait();
+  });
+  registered.get_future().wait();
+  EXPECT_THROW(ClockSource::WorkerScope scope(clock), Error);
+  EXPECT_EQ(clock.workerCount(), 1u);
+  done.set_value();
+  worker.join();
+  EXPECT_EQ(clock.workerCount(), 0u);
 }
 
 TEST(VirtualClock, RoutedNotifyWakesClockedWaitBeforeDeadline) {

@@ -391,9 +391,10 @@ std::string leaseTempDir(const std::string& tag) {
 struct LeaseRig {
   LeaseRig(std::size_t n, const TokenBag& seed, TokenConfig cfg = leaseCfg(),
            bool mainIsWorker = false)
-      : mainWorker(mainIsWorker ? std::make_optional<ClockSource::WorkerScope>(
-                                      clock)
-                                : std::nullopt),
+      : mainWorker(mainIsWorker
+                       ? (clock.announceWorker(),
+                          std::make_optional<ClockSource::WorkerScope>(clock))
+                       : std::nullopt),
         net(91, simOpts(clock)) {
     for (std::size_t i = 0; i < n; ++i) {
       DappletConfig dc;
@@ -629,6 +630,7 @@ TEST(TokenLeases, RestartReLeasesJournaledHoldingsUnderIncarnationGuard) {
   // Time stands still while this thread crashes and rebuilds b.  A clock
   // running meanwhile could pass the 400 ms lease, and the home would
   // reclaim the loan before the re-lease claims it.
+  clock.announceWorker();
   const ClockSource::WorkerScope mainIsWorker(clock);
   SimNetwork net(seed, simOpts(clock));
   const std::string dir = leaseTempDir("relet");
