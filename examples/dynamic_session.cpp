@@ -149,8 +149,11 @@ int main() {
       {{"panel.desk", "ask", "panel.ann", "questions"},
        {"panel.desk", "ask", "panel.raj", "questions"}},
       seconds(10));
-  std::printf("session grew with a question desk: %s\n",
-              grown ? "yes" : "NO");
+  if (!grown) {
+    std::printf("session failed to grow\n");
+    return 1;
+  }
+  std::printf("session grew with a question desk\n");
   while (g_answers < 6) std::this_thread::sleep_for(milliseconds(5));
   std::printf("both panelists answered 3 questions (6 answers)\n");
 

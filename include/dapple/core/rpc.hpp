@@ -62,6 +62,11 @@ class RpcServer {
 };
 
 /// Client stub bound to one remote RpcServer.
+///
+/// Replies arrive in the client's one reply inbox, handled on the dapplet's
+/// reactor.  `call` blocks its caller, so it must not run in a handler, an
+/// RPC method or a timer on that dapplet's reactor: the reply it waits for
+/// is handled there.
 class RpcClient {
  public:
   /// `server` is the target server's inbox ref.

@@ -165,6 +165,12 @@ class SessionAgent {
 };
 
 /// Establishes, grows, shrinks, and terminates sessions from any dapplet.
+///
+/// Its replies (INVITE and WIRE answers, DONEs, REJOINs) arrive in one
+/// reply inbox handled on the dapplet's reactor.  `establish`,
+/// `awaitCompletion`, `addMember`, `removeMember` and `terminate` block
+/// their caller, so they must not run in a handler or timer on that
+/// dapplet's reactor: the reply they wait for is handled there.
 class Initiator {
  public:
   /// `monitor` (optional, typically a LivenessMonitor) lets the initiator
@@ -233,7 +239,8 @@ class Initiator {
   /// entry is a map `{peerDown: true, member: <name>, reason: <verdict>}`,
   /// so callers get partial results naming the failed member instead of a
   /// timeout.  Throws TimeoutError when survivors are still running at the
-  /// deadline and SessionError for unknown sessions.
+  /// deadline and SessionError for unknown sessions, or for one terminated
+  /// while awaited.
   std::map<std::string, Value> awaitCompletion(const std::string& sessionId,
                                                Duration timeout);
 

@@ -9,11 +9,13 @@
 # crash-recovery (kill -> restart -> rejoin) suite, the event-loop runtime
 # (timer wheel, handler strands), the wire codec (text/binary encode-decode,
 # malformed-input hardening), the services whose dispatch runs on reactor
-# loops (session, sync, clocks, ordering groups, termination, directory),
+# loops (session agent and initiator, RPC server and client, sync, clocks,
+# ordering groups, termination, directory),
 # the token service's credit/lease machinery (renewal timers racing grants,
 # recalls, and member crashes), and the reliable ordering layer (its
 # reactor-paced ticks racing ack and data delivery), and the core,
-# network, application and stress suites.  Most run on the virtual clock,
+# network, application (with six of the seven examples) and stress suites.
+# Most run on the virtual clock,
 # so TSan reports reproduce run-to-run.
 #
 #   scripts/tsan_check.sh [build-dir]     (default: build-tsan)

@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "dapple/core/service.hpp"
 #include "dapple/core/session.hpp"
 #include "dapple/util/log.hpp"
 #include "dapple/util/rng.hpp"
@@ -15,9 +16,14 @@ namespace {
 constexpr const char* kLog = "initiator";
 }  // namespace
 
-struct Initiator::Impl {
+/// The initiator is a service like any other (DESIGN.md §13): one anonymous
+/// reply inbox, shared by every session, is handled on the dapplet's
+/// reactor.  The handler files INVITE replies, WIRE replies and DONEs into
+/// the session records and answers a REJOIN on arrival; the blocking calls
+/// wait on those records.  `mutex` guards every session.
+struct Initiator::Impl : ServiceCore {
   Impl(Dapplet& dapplet, PeerMonitor* mon)
-      : d(dapplet),
+      : ServiceCore(dapplet, ""),
         monitor(mon),
         rng(dapplet.id() ^ 0x5e551041u),
         mInviteRoundUs(&d.metricsRegistry().histogram("session.invite_round_us")),
@@ -27,9 +33,7 @@ struct Initiator::Impl {
         mRejoinRefused(&d.metricsRegistry().counter("recovery.rejoin_refused")),
         trace(&d.trace()) {}
 
-  Dapplet& d;
   PeerMonitor* monitor;
-  mutable std::mutex mutex;
   Rng rng;  // jitter source; guarded by `mutex`
   // Per-initiator (not process-global) so session ids are reproducible run
   // to run; the initiator's name + node id keep them unique on the wire.
@@ -55,23 +59,28 @@ struct Initiator::Impl {
             .count());
   }
 
+  /// waitFor() against an absolute deadline on the dapplet's clock.
+  template <typename Pred>
+  bool waitUntil(std::unique_lock<std::mutex>& lock, TimePoint deadline,
+                 Pred pred) {
+    const TimePoint t = now();
+    return waitFor(lock, deadline > t ? deadline - t : Duration::zero(), pred);
+  }
+
   struct SessRec {
     std::string app;
     std::vector<MemberPlan> members;
     std::vector<Edge> edges;
     Value params;
-    Duration phaseTimeout{seconds(10)};
 
-    Inbox* reply = nullptr;  // per-session reply inbox
-
-    // `mtx` guards everything below: establish() runs single-threaded, but
-    // once `established` is set, failure hooks (liveness suspicion, stream
-    // failures) mutate membership from detector threads.
-    mutable std::mutex mtx;
     std::map<std::string, Outbox*> memberOutbox;
     std::map<std::string, std::map<std::string, InboxRef>> memberRefs;
     std::map<std::string, InboxRef> memberLiveness;
     std::map<std::string, NodeAddress> memberNodes;
+    /// Setup refusals: a rejected INVITE or a failed WIRE (member -> reason).
+    std::map<std::string, std::string> rejections;
+    /// Members whose WIRE reply came back ok.
+    std::set<std::string> wired;
     /// Restart counter per member (DESIGN.md §12): set by REJOIN, consulted
     /// by failMember() so eviction verdicts aimed at an earlier process of
     /// the same member are recognized as stale and dropped.
@@ -84,43 +93,74 @@ struct Initiator::Impl {
     // Dead members' outboxes are parked here (sends may race with eviction)
     // and destroyed with the session.
     std::vector<Outbox*> retired;
+    /// Set once START went out; until then failure hooks and REJOINs leave
+    /// the record to establish().
     bool established = false;
+
+    bool inviteAnswered(const std::string& member) const {
+      return memberRefs.count(member) != 0 || rejections.count(member) != 0;
+    }
   };
   std::map<std::string, std::shared_ptr<SessRec>> sessions;
 
-  std::shared_ptr<SessRec> find(const std::string& sessionId) {
-    std::scoped_lock lock(mutex);
-    const auto it = sessions.find(sessionId);
-    if (it == sessions.end()) {
-      throw SessionError("unknown session '" + sessionId + "'");
-    }
-    return it->second;
-  }
-
-  std::shared_ptr<SessRec> tryFind(const std::string& sessionId) {
-    std::scoped_lock lock(mutex);
+  /// The record of `sessionId`, or null.  The caller holds `mutex`.
+  std::shared_ptr<SessRec> lookup(const std::string& sessionId) const {
     const auto it = sessions.find(sessionId);
     return it == sessions.end() ? nullptr : it->second;
   }
 
-  /// Receives from `rec->reply` until `deadline`; nullopt once the deadline
-  /// passes (the phase loops treat that as "this attempt is over", so it is
-  /// flow control, not an error — see inbox.hpp's receive conventions).
-  std::optional<Delivery> receiveBy(SessRec& rec, TimePoint deadline) {
-    const TimePoint t = now();
-    if (deadline <= t) return std::nullopt;
-    return rec.reply->receiveFor(
-        std::chrono::duration_cast<Duration>(deadline - t));
+  /// lookup() that throws SessionError for an unknown session.
+  std::shared_ptr<SessRec> find(const std::string& sessionId) const {
+    auto rec = lookup(sessionId);
+    if (!rec) throw SessionError("unknown session '" + sessionId + "'");
+    return rec;
+  }
+
+  /// The reply inbox's handler, on the reactor: files a reply into its
+  /// session record and wakes the blocked calls.  Never blocks.
+  void dispatch(const Delivery& del) {
+    const Message& m = *del.message;
+    if (const auto* rejoin = dynamic_cast<const RejoinMsg*>(&m)) {
+      onRejoin(*rejoin);
+      return;
+    }
+    std::scoped_lock lock(mutex);
+    if (const auto* reply = dynamic_cast<const InviteReplyMsg*>(&m)) {
+      const auto rec = lookup(reply->sessionId);
+      // A member's first answer wins, so a late duplicate cannot overwrite
+      // the refs a REJOIN installed.
+      if (!rec || rec->inviteAnswered(reply->memberName)) return;
+      if (reply->accepted) {
+        rec->memberRefs[reply->memberName] = reply->inboxRefs;
+        if (reply->livenessRef.valid()) {
+          rec->memberLiveness[reply->memberName] = reply->livenessRef;
+        }
+      } else {
+        rec->rejections[reply->memberName] = reply->reason;
+      }
+    } else if (const auto* reply = dynamic_cast<const WireReplyMsg*>(&m)) {
+      const auto rec = lookup(reply->sessionId);
+      if (!rec) return;
+      if (reply->ok) {
+        rec->wired.insert(reply->memberName);
+      } else {
+        rec->rejections[reply->memberName] = reply->reason;
+      }
+    } else if (const auto* done = dynamic_cast<const DoneMsg*>(&m)) {
+      const auto rec = lookup(done->sessionId);
+      if (!rec) return;
+      rec->doneResults[done->memberName] = done->result;
+    } else {
+      return;
+    }
+    notifyAll();
   }
 
   /// Jittered exponential backoff: base * 2^attempt, scaled by a uniform
-  /// factor in [0.75, 1.25) so retrying initiators do not synchronize.
+  /// factor in [0.75, 1.25) so retrying initiators do not synchronize.  The
+  /// caller holds `mutex`.
   Duration backoff(const Plan& plan, std::size_t attempt) {
-    double factor;
-    {
-      std::scoped_lock lock(mutex);
-      factor = 0.75 + rng.uniform01() * 0.5;
-    }
+    const double factor = 0.75 + rng.uniform01() * 0.5;
     const auto base = std::chrono::duration_cast<std::chrono::nanoseconds>(
         plan.retryBase);
     const double ns =
@@ -150,14 +190,52 @@ struct Initiator::Impl {
     }
   }
 
+  /// One setup phase of establish() (INVITE or WIRE): each attempt sends
+  /// `makeMsg(member)` to every member that has neither `answered` nor been
+  /// refused, then waits a jittered backoff for the rest; all attempts share
+  /// one `phaseTimeout`.  The caller holds `lock` on `mutex`.
+  template <typename Answered, typename MakeMsg>
+  void setupPhase(std::unique_lock<std::mutex>& lock, SessRec& rec,
+                  const Plan& plan, const char* phase, obs::Histogram* round,
+                  Answered answered, MakeMsg makeMsg) {
+    const auto settled = [&](const MemberPlan& m) {
+      return answered(m) || rec.rejections.count(m.name) != 0;
+    };
+    const auto allSettled = [&] {
+      return std::all_of(plan.members.begin(), plan.members.end(), settled);
+    };
+    const std::size_t attempts = std::max<std::size_t>(1, plan.setupAttempts);
+    const TimePoint start = now();
+    const TimePoint deadline = start + plan.phaseTimeout;
+    for (std::size_t attempt = 0; attempt < attempts && !allSettled();
+         ++attempt) {
+      for (const MemberPlan& member : plan.members) {
+        if (!settled(member)) {
+          sendOn(*rec.memberOutbox.at(member.name), makeMsg(member));
+        }
+      }
+      const TimePoint attemptDeadline =
+          attempt + 1 == attempts
+              ? deadline
+              : std::min(deadline, now() + backoff(plan, attempt));
+      if (waitUntil(lock, attemptDeadline, allSettled) || now() >= deadline) {
+        break;
+      }
+      DAPPLE_LOG(kDebug, kLog)
+          << d.name() << ": " << phase << " attempt " << (attempt + 1) << "/"
+          << attempts << " incomplete, retrying";
+    }
+    round->record(microsSince(start));
+  }
+
   InviteMsg makeInvite(const std::string& sessionId, const std::string& app,
-                       const MemberPlan& member, const InboxRef& replyRef) {
+                       const MemberPlan& member) {
     InviteMsg invite;
     invite.sessionId = sessionId;
     invite.app = app;
     invite.initiatorName = d.name();
     invite.memberName = member.name;
-    invite.replyTo = replyRef;
+    invite.replyTo = inbox->ref();
     invite.inboxesToCreate = member.inboxes;
     invite.readKeys = member.readKeys;
     invite.writeKeys = member.writeKeys;
@@ -194,21 +272,28 @@ struct Initiator::Impl {
     return out;
   }
 
+  /// True when `edge`'s target inbox is known (its member answered and
+  /// still has that inbox).
+  static bool resolves(const SessRec& rec, const Edge& edge) {
+    const auto refs = rec.memberRefs.find(edge.toMember);
+    return refs != rec.memberRefs.end() &&
+           refs->second.count(edge.toInbox) != 0;
+  }
+
   void failMember(const std::string& sessionId, const std::string& member,
                   const std::string& reason,
                   std::uint64_t incarnation = kAnyIncarnation) {
-    auto rec = tryFind(sessionId);
-    if (!rec) return;
     MemberDownMsg notice;
     notice.sessionId = sessionId;
     notice.memberName = member;
     notice.reason = reason;
     std::string watchKey;
     {
-      std::scoped_lock lock(rec->mtx);
+      std::scoped_lock lock(mutex);
+      const auto rec = lookup(sessionId);
       // Mid-setup failures are owned by the phase retry/timeout logic; a
       // hook firing then must not mutate maps establish() is iterating.
-      if (!rec->established) return;
+      if (!rec || !rec->established) return;
       // A verdict carrying an incarnation older than the member's current
       // one condemns a process that already died and was replaced by a
       // rejoin; evicting the replacement for its predecessor's death would
@@ -246,14 +331,15 @@ struct Initiator::Impl {
       DAPPLE_LOG(kInfo, kLog) << d.name() << ": session " << sessionId
                               << ": member '" << member << "' declared down ("
                               << reason << ")";
-      // Broadcast MEMBER_DOWN to the survivors while still holding `mtx` so
-      // a concurrent terminate() cannot free the outboxes mid-send.
+      // Broadcast MEMBER_DOWN to the survivors while still holding `mutex`
+      // so a concurrent terminate() cannot free the outboxes mid-send.
       for (const auto& [name, box] : rec->memberOutbox) {
         if (!sendOn(*box, notice)) {
           DAPPLE_LOG(kDebug, kLog)
               << d.name() << ": MEMBER_DOWN to '" << name << "' failed";
         }
       }
+      notifyAll();  // awaitCompletion counts the evicted member as settled
     }
     if (monitor != nullptr && !watchKey.empty()) monitor->unwatch(watchKey);
   }
@@ -265,10 +351,8 @@ struct Initiator::Impl {
   /// broadcast MEMBER_UP.  Idempotent per incarnation: duplicate requests
   /// converge, and requests racing a not-yet-processed eviction of the old
   /// process win (the eviction becomes stale via `memberIncarnation`).
+  /// Handled on arrival, whether or not anyone awaits the session.
   void onRejoin(const RejoinMsg& m) {
-    auto rec = tryFind(m.sessionId);
-    if (!rec) return;  // unknown session: the requester times out and unjournals
-
     RejoinAckMsg ack;
     ack.sessionId = m.sessionId;
     ack.memberName = m.memberName;
@@ -278,7 +362,11 @@ struct Initiator::Impl {
     std::string newWatchKey;
     InboxRef liveRef;
     {
-      std::scoped_lock lock(rec->mtx);
+      std::scoped_lock lock(mutex);
+      const auto rec = lookup(m.sessionId);
+      // Unknown session: the requester times out and unjournals.  Mid-setup
+      // the record belongs to establish(); the requester's retry comes back.
+      if (!rec || !rec->established) return;
       const bool known = std::any_of(
           rec->members.begin(), rec->members.end(),
           [&](const MemberPlan& mp) { return mp.name == m.memberName; });
@@ -287,8 +375,6 @@ struct Initiator::Impl {
           incIt == rec->memberIncarnation.end() ? 0 : incIt->second;
       if (!known) {
         ack.reason = "unknown member";
-      } else if (!rec->established) {
-        ack.reason = "session not established";
       } else if (rec->doneResults.count(m.memberName) != 0) {
         ack.reason = "member already completed";
       } else if (m.incarnation < cur) {
@@ -352,15 +438,10 @@ struct Initiator::Impl {
         // resolve (a co-member may have died or left meanwhile).
         std::vector<Edge> touched;
         for (const Edge& e : rec->edges) {
-          if (e.fromMember != m.memberName && e.toMember != m.memberName) {
-            continue;
+          if ((e.fromMember == m.memberName || e.toMember == m.memberName) &&
+              resolves(*rec, e)) {
+            touched.push_back(e);
           }
-          const auto refs = rec->memberRefs.find(e.toMember);
-          if (refs == rec->memberRefs.end() ||
-              refs->second.count(e.toInbox) == 0) {
-            continue;
-          }
-          touched.push_back(e);
         }
         const auto rewire = planBindings(*rec, touched);
 
@@ -399,18 +480,16 @@ struct Initiator::Impl {
             << d.name() << ": session " << m.sessionId << ": member '"
             << m.memberName << "' rejoined (incarnation " << m.incarnation
             << ")";
+      } else {
+        // NACK on a throwaway outbox so the requester stops retrying and
+        // discards its journal; parked with the session like other retirees.
+        Outbox& nack = d.createOutbox();
+        nack.add(m.control);
+        sendOn(nack, ack);
+        rec->retired.push_back(&nack);
       }
     }
     if (!ack.accepted) {
-      // NACK on a throwaway outbox so the requester stops retrying and
-      // discards its journal; parked with the session like other retirees.
-      Outbox& nack = d.createOutbox();
-      nack.add(m.control);
-      sendOn(nack, ack);
-      {
-        std::scoped_lock lock(rec->mtx);
-        rec->retired.push_back(&nack);
-      }
       mRejoinRefused->inc();
       trace->emit("recovery", "rejoin.refused",
                   m.sessionId + "/" + m.memberName + ": " + ack.reason);
@@ -428,27 +507,25 @@ struct Initiator::Impl {
                     " inc=" + std::to_string(m.incarnation));
   }
 
-  void destroy(const std::string& sessionId,
-               const std::shared_ptr<SessRec>& rec) {
+  /// Forgets `sessionId`, frees its outboxes and wakes its waiters.
+  void destroy(const std::string& sessionId) {
+    std::vector<std::string> keys;
     {
       std::scoped_lock lock(mutex);
+      const auto rec = lookup(sessionId);
+      if (!rec) return;
       sessions.erase(sessionId);
+      for (const auto& [name, key] : rec->watchKeys) keys.push_back(key);
+      rec->watchKeys.clear();
+      for (auto& [name, box] : rec->memberOutbox) d.destroyOutbox(*box);
+      rec->memberOutbox.clear();
+      for (Outbox* box : rec->retired) d.destroyOutbox(*box);
+      rec->retired.clear();
+      notifyAll();
     }
     if (monitor != nullptr) {
-      std::vector<std::string> keys;
-      {
-        std::scoped_lock lock(rec->mtx);
-        for (const auto& [name, key] : rec->watchKeys) keys.push_back(key);
-        rec->watchKeys.clear();
-      }
       for (const std::string& key : keys) monitor->unwatch(key);
     }
-    std::scoped_lock lock(rec->mtx);
-    for (auto& [name, box] : rec->memberOutbox) d.destroyOutbox(*box);
-    rec->memberOutbox.clear();
-    for (Outbox* box : rec->retired) d.destroyOutbox(*box);
-    rec->retired.clear();
-    if (rec->reply != nullptr) d.destroyInbox(*rec->reply);
   }
 };
 
@@ -469,7 +546,6 @@ Initiator::Initiator(Dapplet& dapplet, PeerMonitor* monitor)
         {
           std::scoped_lock lock(impl->mutex);
           for (const auto& [id, rec] : impl->sessions) {
-            std::scoped_lock recLock(rec->mtx);
             for (const auto& [name, box] : rec->memberOutbox) {
               if (box->id() == outboxId) {
                 sessionId = id;
@@ -509,9 +585,11 @@ Initiator::Initiator(Dapplet& dapplet, PeerMonitor* monitor)
                        "liveness: peer suspected dead", inc);
     });
   }
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->dispatch(del); });
 }
 
-Initiator::~Initiator() = default;
+Initiator::~Initiator() { impl_->shutdown(); }
 
 Initiator::MemberPlan Initiator::member(const Directory& directory,
                                         const std::string& name,
@@ -526,10 +604,11 @@ Initiator::MemberPlan Initiator::member(const Directory& directory,
 }
 
 Initiator::Result Initiator::establish(const Plan& plan) {
-  Dapplet& d = impl_->d;
+  Impl& im = *impl_;
+  Dapplet& d = im.d;
   Result result;
   result.sessionId =
-      d.name() + "-" + std::to_string(impl_->sessionCounter.fetch_add(1)) + "-" +
+      d.name() + "-" + std::to_string(im.sessionCounter.fetch_add(1)) + "-" +
       std::to_string(d.id() & 0xffff);
 
   auto rec = std::make_shared<Impl::SessRec>();
@@ -537,156 +616,68 @@ Initiator::Result Initiator::establish(const Plan& plan) {
   rec->members = plan.members;
   rec->edges = plan.edges;
   rec->params = plan.params;
-  rec->phaseTimeout = plan.phaseTimeout;
-  rec->reply = &d.createInbox();
-
-  {
-    std::scoped_lock lock(impl_->mutex);
-    impl_->sessions[result.sessionId] = rec;
+  for (const MemberPlan& member : plan.members) {
+    Outbox& box = d.createOutbox();
+    box.add(member.control);
+    rec->memberOutbox[member.name] = &box;
   }
-
-  const std::size_t attempts = std::max<std::size_t>(1, plan.setupAttempts);
+  std::unique_lock lock(im.mutex);
+  im.sessions[result.sessionId] = rec;
 
   // ---- Phase 1: INVITE --------------------------------------------------
   // Retry loop: each attempt (re)sends INVITE to every member that has not
   // answered yet, then waits out a jittered exponential backoff for the
   // replies.  Duplicate invites are idempotent at the agent, and answers
   // dedup naturally through the per-member maps.
+  im.setupPhase(
+      lock, *rec, plan, "INVITE", im.mInviteRoundUs,
+      [&](const MemberPlan& m) { return rec->memberRefs.count(m.name) != 0; },
+      [&](const MemberPlan& m) {
+        return im.makeInvite(result.sessionId, plan.app, m);
+      });
   for (const MemberPlan& member : plan.members) {
-    Outbox& box = d.createOutbox();
-    box.add(member.control);
-    rec->memberOutbox[member.name] = &box;
-  }
-  const TimePoint inviteStart = impl_->now();
-  const TimePoint inviteDeadline = inviteStart + plan.phaseTimeout;
-  const auto inviteAnswered = [&](const MemberPlan& member) {
-    return rec->memberRefs.count(member.name) != 0 ||
-           result.rejections.count(member.name) != 0;
-  };
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    bool all = true;
-    for (const MemberPlan& member : plan.members) {
-      if (inviteAnswered(member)) continue;
-      all = false;
-      InviteMsg invite = impl_->makeInvite(result.sessionId, plan.app, member,
-                                           rec->reply->ref());
-      impl_->sendOn(*rec->memberOutbox.at(member.name), invite);
-    }
-    if (all) break;
-    const TimePoint attemptDeadline =
-        attempt + 1 == attempts
-            ? inviteDeadline
-            : std::min(inviteDeadline,
-                       impl_->now() + impl_->backoff(plan, attempt));
-    bool attemptTimedOut = false;
-    for (;;) {
-      bool answered = true;
-      for (const MemberPlan& member : plan.members) {
-        if (!inviteAnswered(member)) {
-          answered = false;
-          break;
-        }
-      }
-      if (answered) break;
-      auto del = impl_->receiveBy(*rec, attemptDeadline);
-      if (!del) {
-        attemptTimedOut = true;
-        break;
-      }
-      const auto* reply =
-          dynamic_cast<const InviteReplyMsg*>(del->message.get());
-      if (reply == nullptr || reply->sessionId != result.sessionId) continue;
-      if (reply->accepted) {
-        rec->memberRefs[reply->memberName] = reply->inboxRefs;
-        if (reply->livenessRef.valid()) {
-          rec->memberLiveness[reply->memberName] = reply->livenessRef;
-        }
-      } else {
-        result.rejections[reply->memberName] = reply->reason;
-      }
-    }
-    if (!attemptTimedOut) break;  // everyone answered
-    if (impl_->now() >= inviteDeadline) break;
-    DAPPLE_LOG(kDebug, kLog)
-        << d.name() << ": INVITE attempt " << (attempt + 1) << "/"
-        << attempts << " incomplete, retrying";
-  }
-  impl_->mInviteRoundUs->record(impl_->microsSince(inviteStart));
-  for (const MemberPlan& member : plan.members) {
-    if (!inviteAnswered(member)) {
-      result.rejections[member.name] = "no reply (timeout)";
+    if (!rec->inviteAnswered(member.name)) {
+      rec->rejections[member.name] = "no reply (timeout)";
     }
   }
+  result.rejections = rec->rejections;
   if (!result.rejections.empty()) {
     // Paper §3.1 leaves the initiator's reaction open; we roll back.
     UnlinkMsg abortMsg;
     abortMsg.sessionId = result.sessionId;
     abortMsg.reason = "session aborted during setup";
     for (const auto& [name, refs] : rec->memberRefs) {
-      impl_->sendOn(*rec->memberOutbox.at(name), abortMsg);
+      im.sendOn(*rec->memberOutbox.at(name), abortMsg);
     }
-    impl_->destroy(result.sessionId, rec);
+    lock.unlock();
+    im.destroy(result.sessionId);
     result.ok = false;
     return result;
   }
 
   // ---- Phase 2: WIRE ------------------------------------------------------
-  auto bindingPlan = impl_->planBindings(*rec, plan.edges);
-  const TimePoint wireStart = impl_->now();
-  const TimePoint wireDeadline = wireStart + plan.phaseTimeout;
-  std::set<std::string> wiredOk;
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    bool all = true;
-    for (const MemberPlan& member : plan.members) {
-      if (wiredOk.count(member.name) != 0 ||
-          result.rejections.count(member.name) != 0) {
-        continue;
-      }
-      all = false;
-      WireMsg wire;
-      wire.sessionId = result.sessionId;
-      const auto it = bindingPlan.find(member.name);
-      if (it != bindingPlan.end()) wire.bindings = it->second;
-      impl_->sendOn(*rec->memberOutbox.at(member.name), wire);
-    }
-    if (all) break;
-    const TimePoint attemptDeadline =
-        attempt + 1 == attempts
-            ? wireDeadline
-            : std::min(wireDeadline,
-                       impl_->now() + impl_->backoff(plan, attempt));
-    bool attemptTimedOut = false;
-    while (wiredOk.size() + result.rejections.size() < plan.members.size()) {
-      auto del = impl_->receiveBy(*rec, attemptDeadline);
-      if (!del) {
-        attemptTimedOut = true;
-        break;
-      }
-      const auto* reply =
-          dynamic_cast<const WireReplyMsg*>(del->message.get());
-      if (reply == nullptr || reply->sessionId != result.sessionId) continue;
-      if (reply->ok) {
-        wiredOk.insert(reply->memberName);
-      } else {
-        result.rejections[reply->memberName] = reply->reason;
-      }
-    }
-    if (!attemptTimedOut) break;
-    if (impl_->now() >= wireDeadline) break;
-    DAPPLE_LOG(kDebug, kLog)
-        << d.name() << ": WIRE attempt " << (attempt + 1) << "/" << attempts
-        << " incomplete, retrying";
-  }
-  impl_->mWireRoundUs->record(impl_->microsSince(wireStart));
-  if (wiredOk.size() < plan.members.size() && result.rejections.empty()) {
+  const auto bindingPlan = im.planBindings(*rec, plan.edges);
+  im.setupPhase(
+      lock, *rec, plan, "WIRE", im.mWireRoundUs,
+      [&](const MemberPlan& m) { return rec->wired.count(m.name) != 0; },
+      [&](const MemberPlan& m) {
+        WireMsg wire;
+        wire.sessionId = result.sessionId;
+        const auto it = bindingPlan.find(m.name);
+        if (it != bindingPlan.end()) wire.bindings = it->second;
+        return wire;
+      });
+  result.rejections = rec->rejections;
+  if (rec->wired.size() < plan.members.size() && result.rejections.empty()) {
     result.rejections["(wire)"] = "wiring timed out";
   }
   if (!result.rejections.empty()) {
     UnlinkMsg abortMsg;
     abortMsg.sessionId = result.sessionId;
     abortMsg.reason = "session aborted during wiring";
-    for (auto& [name, box] : rec->memberOutbox) impl_->sendOn(*box, abortMsg);
-    impl_->destroy(result.sessionId, rec);
+    for (auto& [name, box] : rec->memberOutbox) im.sendOn(*box, abortMsg);
+    lock.unlock();
+    im.destroy(result.sessionId);
     result.ok = false;
     return result;
   }
@@ -701,43 +692,41 @@ Initiator::Result Initiator::establish(const Plan& plan) {
     start.peers.push_back(member.name);
   }
   start.params = plan.params;
-  const TimePoint startStart = impl_->now();
+  const std::size_t attempts = std::max<std::size_t>(1, plan.setupAttempts);
+  const TimePoint startStart = im.now();
   const TimePoint startDeadline = startStart + plan.phaseTimeout;
   for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    for (auto& [name, box] : rec->memberOutbox) impl_->sendOn(*box, start);
+    for (auto& [name, box] : rec->memberOutbox) im.sendOn(*box, start);
     const TimePoint flushBy =
         attempt + 1 == attempts
             ? startDeadline
-            : std::min(startDeadline,
-                       impl_->now() + impl_->backoff(plan, attempt));
-    const auto now = impl_->now();
-    if (d.flush(flushBy > now ? flushBy - now : Duration::zero())) break;
-    if (impl_->now() >= startDeadline) break;
+            : std::min(startDeadline, im.now() + im.backoff(plan, attempt));
+    lock.unlock();
+    const auto now = im.now();
+    const bool flushed =
+        d.flush(flushBy > now ? flushBy - now : Duration::zero());
+    lock.lock();
+    if (flushed || im.now() >= startDeadline) break;
     for (auto& [name, box] : rec->memberOutbox) box->reset();
   }
-  impl_->mStartRoundUs->record(impl_->microsSince(startStart));
-  impl_->trace->emit("session", "session.established", result.sessionId,
-                     static_cast<std::int64_t>(plan.members.size()));
+  im.mStartRoundUs->record(im.microsSince(startStart));
+  im.trace->emit("session", "session.established", result.sessionId,
+                 static_cast<std::int64_t>(plan.members.size()));
 
   // The session is live: start watching member liveness.
-  {
-    std::scoped_lock lock(rec->mtx);
-    for (const MemberPlan& member : plan.members) {
-      rec->memberNodes[member.name] = member.control.node;
-    }
-    rec->established = true;
+  for (const MemberPlan& member : plan.members) {
+    rec->memberNodes[member.name] = member.control.node;
   }
-  if (impl_->monitor != nullptr) {
-    std::vector<std::pair<std::string, InboxRef>> watches;
-    {
-      std::scoped_lock lock(rec->mtx);
-      for (const auto& [name, ref] : rec->memberLiveness) {
-        rec->watchKeys[name] = result.sessionId + "/" + name;
-        watches.emplace_back(rec->watchKeys[name], ref);
-      }
+  rec->established = true;
+  std::vector<std::pair<std::string, InboxRef>> watches;
+  if (im.monitor != nullptr) {
+    for (const auto& [name, ref] : rec->memberLiveness) {
+      rec->watchKeys[name] = result.sessionId + "/" + name;
+      watches.emplace_back(rec->watchKeys[name], ref);
     }
-    for (const auto& [key, ref] : watches) impl_->monitor->watch(key, ref);
   }
+  lock.unlock();
+  for (const auto& [key, ref] : watches) im.monitor->watch(key, ref);
 
   result.ok = true;
   return result;
@@ -745,51 +734,26 @@ Initiator::Result Initiator::establish(const Plan& plan) {
 
 std::map<std::string, Value> Initiator::awaitCompletion(
     const std::string& sessionId, Duration timeout) {
-  auto rec = impl_->find(sessionId);
-  const TimePoint deadline = impl_->now() + timeout;
-  // Poll in short slices: evictions arrive from detector threads, not from
-  // the reply inbox, so a blocked receive alone could miss "everyone left
-  // alive is done".
-  for (;;) {
-    bool complete;
-    {
-      std::scoped_lock lock(rec->mtx);
-      std::size_t settled = 0;
-      for (const MemberPlan& member : rec->members) {
-        if (rec->doneResults.count(member.name) != 0 ||
-            rec->down.count(member.name) != 0) {
-          ++settled;
-        }
-      }
-      complete = settled >= rec->members.size();
-    }
-    if (complete) break;
-    const TimePoint now = impl_->now();
-    if (now >= deadline) {
-      throw TimeoutError("session '" + sessionId +
-                         "' did not complete in time");
-    }
-    const Duration slice =
-        std::min<Duration>(milliseconds(50), deadline - now);
-    // An empty slice just means "re-check eviction state".
-    if (auto del = rec->reply->receiveFor(slice)) {
-      // Crash recovery (DESIGN.md §12): a killed member's restart asks to
-      // be re-admitted through the same reply inbox its journal recorded.
-      if (const auto* rejoin =
-              dynamic_cast<const RejoinMsg*>(del->message.get());
-          rejoin != nullptr && rejoin->sessionId == sessionId) {
-        impl_->onRejoin(*rejoin);
-        continue;
-      }
-      const auto* done = dynamic_cast<const DoneMsg*>(del->message.get());
-      if (done == nullptr || done->sessionId != sessionId) continue;
-      std::scoped_lock lock(rec->mtx);
-      rec->doneResults[done->memberName] = done->result;
-    }
+  std::unique_lock lock(impl_->mutex);
+  const auto rec = impl_->find(sessionId);
+  // Settled: every member has delivered a result or been evicted.  DONEs and
+  // evictions are filed as they happen; terminate() also ends the wait.
+  const auto settled = [&] {
+    return std::all_of(
+        rec->members.begin(), rec->members.end(), [&](const MemberPlan& m) {
+          return rec->doneResults.count(m.name) != 0 ||
+                 rec->down.count(m.name) != 0;
+        });
+  };
+  if (!impl_->waitFor(lock, timeout,
+                      [&] { return settled() || !impl_->lookup(sessionId); })) {
+    throw TimeoutError("session '" + sessionId +
+                       "' did not complete in time");
   }
-  std::map<std::string, Value> out;
-  std::scoped_lock lock(rec->mtx);
-  out = rec->doneResults;
+  if (!settled()) {
+    throw SessionError("session '" + sessionId + "' ended while awaited");
+  }
+  std::map<std::string, Value> out = rec->doneResults;
   for (const auto& [name, reason] : rec->down) {
     if (out.count(name) != 0) continue;  // finished before the verdict
     ValueMap ann;
@@ -809,31 +773,20 @@ void Initiator::failMember(const std::string& sessionId,
 
 std::map<std::string, std::string> Initiator::downMembers(
     const std::string& sessionId) const {
-  std::shared_ptr<Impl::SessRec> rec;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    const auto it = impl_->sessions.find(sessionId);
-    if (it == impl_->sessions.end()) return {};
-    rec = it->second;
-  }
-  std::scoped_lock lock(rec->mtx);
-  return rec->down;
+  std::scoped_lock lock(impl_->mutex);
+  const auto rec = impl_->lookup(sessionId);
+  return rec ? rec->down : std::map<std::string, std::string>{};
 }
 
 void Initiator::terminate(const std::string& sessionId,
                           const std::string& reason) {
-  std::shared_ptr<Impl::SessRec> rec;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    const auto it = impl_->sessions.find(sessionId);
-    if (it == impl_->sessions.end()) return;  // idempotent
-    rec = it->second;
-  }
   UnlinkMsg unlink;
   unlink.sessionId = sessionId;
   unlink.reason = reason;
   {
-    std::scoped_lock lock(rec->mtx);
+    std::scoped_lock lock(impl_->mutex);
+    const auto rec = impl_->lookup(sessionId);
+    if (!rec) return;  // idempotent
     for (auto& [name, box] : rec->memberOutbox) {
       try {
         box->send(unlink);
@@ -844,150 +797,95 @@ void Initiator::terminate(const std::string& sessionId,
     }
   }
   impl_->d.flush(seconds(2));
-  impl_->destroy(sessionId, rec);
+  impl_->destroy(sessionId);
 }
 
 bool Initiator::addMember(const std::string& sessionId,
                           const MemberPlan& member,
                           const std::vector<Edge>& newEdges,
                           Duration timeout) {
-  auto rec = impl_->find(sessionId);
-  Dapplet& d = impl_->d;
+  Impl& im = *impl_;
+  Dapplet& d = im.d;
+  const TimePoint deadline = im.now() + timeout;
+  std::unique_lock lock(im.mutex);
+  const auto rec = im.find(sessionId);
 
   Outbox& box = d.createOutbox();
   box.add(member.control);
-  InviteMsg invite = impl_->makeInvite(sessionId, rec->app, member,
-                                       rec->reply->ref());
-  box.send(invite);
-
-  const TimePoint deadline = impl_->now() + timeout;
-  bool accepted = false;
-  InboxRef liveRef;
-  while (auto del = impl_->receiveBy(*rec, deadline)) {
-    if (const auto* done = dynamic_cast<const DoneMsg*>(del->message.get());
-        done != nullptr && done->sessionId == sessionId) {
-      std::scoped_lock lock(rec->mtx);
-      rec->doneResults[done->memberName] = done->result;  // stash
-      continue;
-    }
-    const auto* reply = dynamic_cast<const InviteReplyMsg*>(del->message.get());
-    if (reply == nullptr || reply->sessionId != sessionId ||
-        reply->memberName != member.name) {
-      continue;
-    }
-    if (reply->accepted) {
-      rec->memberRefs[member.name] = reply->inboxRefs;
-      liveRef = reply->livenessRef;
-      accepted = true;
-    }
-    break;
-  }
-  if (!accepted) {
+  rec->rejections.erase(member.name);  // a refusal from an earlier attempt
+  box.send(im.makeInvite(sessionId, rec->app, member));
+  if (!im.waitUntil(lock, deadline,
+                    [&] { return rec->inviteAnswered(member.name); }) ||
+      rec->memberRefs.count(member.name) == 0) {
     d.destroyOutbox(box);
     return false;
   }
-  {
-    std::scoped_lock lock(rec->mtx);
-    rec->memberOutbox[member.name] = &box;
-    rec->members.push_back(member);
-    rec->memberNodes[member.name] = member.control.node;
-    if (liveRef.valid()) rec->memberLiveness[member.name] = liveRef;
-  }
+  rec->memberOutbox[member.name] = &box;
+  rec->members.push_back(member);
+  rec->memberNodes[member.name] = member.control.node;
 
-  // Wire the new edges (existing members get incremental WireMsgs).
-  auto bindingPlan = impl_->planBindings(*rec, newEdges);
-  std::size_t expectWired = 0;
-  {
-    std::scoped_lock lock(rec->mtx);
-    for (const auto& [target, bindings] : bindingPlan) {
-      WireMsg wire;
-      wire.sessionId = sessionId;
-      wire.bindings = bindings;
-      rec->memberOutbox.at(target)->send(wire);
-      ++expectWired;
-    }
-    // New member must always be wired (possibly with zero bindings) before
-    // START so the session protocol stays uniform.
-    if (bindingPlan.count(member.name) == 0) {
-      WireMsg wire;
-      wire.sessionId = sessionId;
-      rec->memberOutbox.at(member.name)->send(wire);
-      ++expectWired;
-    }
+  // Wire the new edges (existing members get incremental WireMsgs).  The
+  // new member must always be wired (possibly with zero bindings) before
+  // START so the session protocol stays uniform.
+  auto bindingPlan = im.planBindings(*rec, newEdges);
+  bindingPlan.try_emplace(member.name);
+  for (const auto& [target, bindings] : bindingPlan) {
+    WireMsg wire;
+    wire.sessionId = sessionId;
+    wire.bindings = bindings;
+    rec->wired.erase(target);
+    rec->memberOutbox.at(target)->send(wire);
   }
-  std::size_t wired = 0;
-  while (wired < expectWired) {
-    auto del = impl_->receiveBy(*rec, deadline);
-    if (!del) return false;  // wiring window closed
-    if (const auto* done = dynamic_cast<const DoneMsg*>(del->message.get());
-        done != nullptr && done->sessionId == sessionId) {
-      std::scoped_lock lock(rec->mtx);
-      rec->doneResults[done->memberName] = done->result;
-      continue;
-    }
-    const auto* reply = dynamic_cast<const WireReplyMsg*>(del->message.get());
-    if (reply == nullptr || reply->sessionId != sessionId) continue;
-    ++wired;
-  }
-  for (const Edge& edge : newEdges) rec->edges.push_back(edge);
+  const auto allWired = [&] {
+    return std::all_of(
+        bindingPlan.begin(), bindingPlan.end(),
+        [&](const auto& b) { return rec->wired.count(b.first) != 0; });
+  };
+  if (!im.waitUntil(lock, deadline, allWired)) return false;
+  rec->edges.insert(rec->edges.end(), newEdges.begin(), newEdges.end());
 
   StartMsg start;
   start.sessionId = sessionId;
-  {
-    std::scoped_lock lock(rec->mtx);
-    for (const MemberPlan& m : rec->members) start.peers.push_back(m.name);
-    start.params = rec->params;
-    rec->memberOutbox.at(member.name)->send(start);
+  for (const MemberPlan& m : rec->members) start.peers.push_back(m.name);
+  start.params = rec->params;
+  rec->memberOutbox.at(member.name)->send(start);
+  const std::string watchKey = sessionId + "/" + member.name;
+  InboxRef liveRef;
+  if (const auto it = rec->memberLiveness.find(member.name);
+      im.monitor != nullptr && it != rec->memberLiveness.end()) {
+    liveRef = it->second;
+    rec->watchKeys[member.name] = watchKey;
   }
-  if (impl_->monitor != nullptr && liveRef.valid()) {
-    const std::string key = sessionId + "/" + member.name;
-    {
-      std::scoped_lock lock(rec->mtx);
-      rec->watchKeys[member.name] = key;
-    }
-    impl_->monitor->watch(key, liveRef);
-  }
+  lock.unlock();
+  if (liveRef.valid()) im.monitor->watch(watchKey, liveRef);
   return true;
 }
 
 void Initiator::removeMember(const std::string& sessionId,
                              const std::string& member) {
-  auto rec = impl_->find(sessionId);
-  Dapplet& d = impl_->d;
-
-  // Drop every binding that targets the departing member's inboxes.
-  const auto refsIt = rec->memberRefs.find(member);
-  if (refsIt != rec->memberRefs.end()) {
-    std::map<std::string, std::vector<Binding>> unbinds;
-    for (const Edge& edge : rec->edges) {
-      if (edge.toMember != member || edge.fromMember == member) continue;
-      const auto inboxIt = refsIt->second.find(edge.toInbox);
-      if (inboxIt == refsIt->second.end()) continue;
-      std::vector<Binding>& bindings = unbinds[edge.fromMember];
-      auto found = std::find_if(
-          bindings.begin(), bindings.end(),
-          [&](const Binding& b) { return b.outboxName == edge.fromOutbox; });
-      if (found == bindings.end()) {
-        bindings.push_back(Binding{edge.fromOutbox, {}});
-        found = bindings.end() - 1;
+  Impl& im = *impl_;
+  std::string watchKey;
+  {
+    std::scoped_lock lock(im.mutex);
+    const auto rec = im.find(sessionId);
+    // Drop every binding that targets the departing member's inboxes.
+    std::vector<Edge> inbound;
+    for (const Edge& e : rec->edges) {
+      if (e.toMember == member && e.fromMember != member &&
+          Impl::resolves(*rec, e)) {
+        inbound.push_back(e);
       }
-      found->targets.push_back(inboxIt->second);
     }
-    std::scoped_lock lock(rec->mtx);
-    for (const auto& [target, bindings] : unbinds) {
-      const auto boxIt = rec->memberOutbox.find(target);
+    for (const auto& [from, bindings] : im.planBindings(*rec, inbound)) {
+      const auto boxIt = rec->memberOutbox.find(from);
       if (boxIt == rec->memberOutbox.end()) continue;
       UnbindMsg unbind;
       unbind.sessionId = sessionId;
       unbind.bindings = bindings;
       boxIt->second->send(unbind);
     }
-  }
-
-  {
-    std::scoped_lock lock(rec->mtx);
-    const auto boxIt = rec->memberOutbox.find(member);
-    if (boxIt != rec->memberOutbox.end()) {
+    if (const auto boxIt = rec->memberOutbox.find(member);
+        boxIt != rec->memberOutbox.end()) {
       UnlinkMsg unlink;
       unlink.sessionId = sessionId;
       unlink.reason = "removed from session";
@@ -996,32 +894,24 @@ void Initiator::removeMember(const std::string& sessionId,
       rec->retired.push_back(boxIt->second);
       rec->memberOutbox.erase(boxIt);
     }
-    rec->memberNodes.erase(member);
-    rec->memberLiveness.erase(member);
-    rec->memberIncarnation.erase(member);
-  }
-  std::string watchKey;
-  {
-    std::scoped_lock lock(rec->mtx);
     if (const auto it = rec->watchKeys.find(member);
         it != rec->watchKeys.end()) {
       watchKey = it->second;
       rec->watchKeys.erase(it);
     }
-  }
-  d.flush(seconds(2));
-  if (impl_->monitor != nullptr && !watchKey.empty()) {
-    impl_->monitor->unwatch(watchKey);
-  }
-  rec->memberRefs.erase(member);
-  {
-    std::scoped_lock lock(rec->mtx);
+    rec->memberNodes.erase(member);
+    rec->memberLiveness.erase(member);
+    rec->memberIncarnation.erase(member);
+    rec->memberRefs.erase(member);
     std::erase_if(rec->members,
                   [&](const MemberPlan& m) { return m.name == member; });
+    std::erase_if(rec->edges, [&](const Edge& e) {
+      return e.fromMember == member || e.toMember == member;
+    });
+    im.notifyAll();  // awaitCompletion no longer waits for `member`
   }
-  std::erase_if(rec->edges, [&](const Edge& e) {
-    return e.fromMember == member || e.toMember == member;
-  });
+  im.d.flush(seconds(2));
+  if (im.monitor != nullptr && !watchKey.empty()) im.monitor->unwatch(watchKey);
 }
 
 }  // namespace dapple

@@ -1,7 +1,7 @@
 #include "dapple/core/rpc.hpp"
 
-#include <condition_variable>
 #include <mutex>
+#include <optional>
 
 #include "dapple/core/service.hpp"
 #include "dapple/serial/data_message.hpp"
@@ -118,35 +118,41 @@ RpcServer::Stats RpcServer::stats() const {
 
 // ===========================================================================
 
-struct RpcClient::Impl {
-  Impl(Dapplet& dapplet, InboxRef serverRef)
-      : d(dapplet), server(std::move(serverRef)) {}
+/// The client is a service too (DESIGN.md §13): its one reply inbox is
+/// handled on the dapplet's reactor, which files each reply under its call
+/// id; `call()` waits for its own id.
+struct RpcClient::Impl : ServiceCore {
+  explicit Impl(Dapplet& dapplet)
+      : ServiceCore(dapplet, ""), requestOutbox(&dapplet.createOutbox()) {}
 
-  Dapplet& d;
-  InboxRef server;
-  Inbox* replyInbox = nullptr;
-  Outbox* requestOutbox = nullptr;
+  Outbox* const requestOutbox;
+  std::uint64_t nextId = 1;  // guarded by `mutex`
+  /// Calls in flight: id -> the reply, once it arrives.  Guarded by
+  /// `mutex`; a reply to a call that already timed out is dropped.
+  std::map<std::uint64_t, std::optional<Value>> calls;
 
-  std::mutex mutex;  // serializes call bookkeeping across threads
-  std::condition_variable stashChanged;
-  bool someoneReceiving = false;  // leader/follower: one receiver at a time
-  std::uint64_t nextId = 1;
-  std::map<std::uint64_t, Value> stashedReplies;
+  void onReply(const Delivery& del) {
+    const auto* rsp = dynamic_cast<const DataMessage*>(del.message.get());
+    if (rsp == nullptr || rsp->kind() != kReplyKind) return;
+    const auto id = static_cast<std::uint64_t>(rsp->get("id").asInt());
+    std::scoped_lock lock(mutex);
+    const auto it = calls.find(id);
+    if (it == calls.end()) return;
+    it->second = Value(rsp->body());
+    notifyAll();
+  }
 };
 
 RpcClient::RpcClient(Dapplet& dapplet, InboxRef server)
-    : impl_(std::make_unique<Impl>(dapplet, std::move(server))) {
-  impl_->replyInbox = &dapplet.createInbox();
-  impl_->requestOutbox = &dapplet.createOutbox();
-  impl_->requestOutbox->add(impl_->server);
+    : impl_(std::make_unique<Impl>(dapplet)) {
+  impl_->requestOutbox->add(server);
+  impl_->serve(
+      [impl = impl_.get()](const Delivery& del) { impl->onReply(del); });
 }
 
 RpcClient::~RpcClient() {
-  try {
-    impl_->d.destroyInbox(*impl_->replyInbox);
-    impl_->d.destroyOutbox(*impl_->requestOutbox);
-  } catch (const Error&) {
-  }
+  impl_->shutdown();
+  impl_->d.destroyOutbox(*impl_->requestOutbox);
 }
 
 void RpcClient::addServer(InboxRef server) {
@@ -163,61 +169,26 @@ void RpcClient::notify(const std::string& method, const Value& args) {
 
 Value RpcClient::call(const std::string& method, const Value& args,
                       Duration timeout) {
-  std::uint64_t id = 0;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    id = impl_->nextId++;
-  }
+  Impl& im = *impl_;
+  std::unique_lock lock(im.mutex);
+  const std::uint64_t id = im.nextId++;
   DataMessage req(kRequestKind);
   req.set("method", Value(method));
   req.set("args", args);
   req.set("id", Value(static_cast<long long>(id)));
-  req.set("replyTo", inboxRefToValue(impl_->replyInbox->ref()));
-  impl_->requestOutbox->send(req);
-
-  // Several threads may call concurrently over the one reply inbox, so a
-  // single "leader" drains the inbox into the stash while the others wait
-  // on the stash; every arrival wakes everyone to re-check.
-  ClockSource& clk = impl_->d.clockSource();
-  const TimePoint deadline = clk.now() + timeout;
-  std::unique_lock lock(impl_->mutex);
-  while (true) {
-    const auto it = impl_->stashedReplies.find(id);
-    if (it != impl_->stashedReplies.end()) {
-      Value rsp = std::move(it->second);
-      impl_->stashedReplies.erase(it);
-      return unpack(rsp, method);
-    }
-    if (clk.now() >= deadline) {
-      throw TimeoutError("rpc call '" + method + "' timed out");
-    }
-    if (impl_->someoneReceiving) {
-      clk.parkUntil(lock, impl_->stashChanged, deadline);
-      continue;
-    }
-    impl_->someoneReceiving = true;
-    lock.unlock();
-    std::optional<Delivery> del;
-    try {
-      del = impl_->replyInbox->receiveFor(milliseconds(20));
-    } catch (...) {
-      lock.lock();
-      impl_->someoneReceiving = false;
-      clk.notifyAll(impl_->stashChanged);
-      throw;
-    }
-    lock.lock();
-    impl_->someoneReceiving = false;
-    if (del) {
-      const auto* rsp = dynamic_cast<const DataMessage*>(del->message.get());
-      if (rsp != nullptr && rsp->kind() == kReplyKind) {
-        const auto rspId =
-            static_cast<std::uint64_t>(rsp->get("id").asInt());
-        impl_->stashedReplies.emplace(rspId, Value(rsp->body()));
-      }
-    }
-    clk.notifyAll(impl_->stashChanged);
+  req.set("replyTo", inboxRefToValue(im.inbox->ref()));
+  const auto call = im.calls.emplace(id, std::nullopt).first;
+  try {
+    im.requestOutbox->send(req);
+    im.waitFor(lock, timeout, [&] { return call->second.has_value(); });
+  } catch (...) {
+    im.calls.erase(call);
+    throw;
   }
+  const std::optional<Value> reply = std::move(call->second);
+  im.calls.erase(call);
+  if (!reply) throw TimeoutError("rpc call '" + method + "' timed out");
+  return unpack(*reply, method);
 }
 
 Value RpcClient::unpack(const Value& rsp, const std::string& method) {

@@ -507,13 +507,13 @@ std::int64_t settleMidStream(testkit::VirtualClock& clock,
   return progress;
 }
 
-TEST(Rejoin, KillRestartRejoinBeforeEvictionConverges) {
-  // No failure detector: the restart always wins the race against eviction
-  // (the initiator still believes the old process is alive), exercising the
-  // idempotent re-registration path — the member must be re-pointed, never
-  // duplicated, and survivors must learn the old address is dead.
-  const std::uint64_t seed = testkit::testSeed(920);
-  DAPPLE_SEED_TRACE(seed);
+/// Kill -> restart -> REJOIN with no failure detector: the restart always
+/// wins the race against eviction (the initiator still believes the old
+/// process is alive), exercising the idempotent re-registration path — the
+/// member must be re-pointed, never duplicated, and survivors must learn the
+/// old address is dead.  The director idles for `idle` of virtual time after
+/// the restart before it awaits the session.
+void rejoinBeforeEviction(std::uint64_t seed, Duration idle) {
   testkit::VirtualClock clock;
   SimNetwork net(seed, simOn(clock));
   const std::string dir = tempDir("rejoin");
@@ -563,6 +563,7 @@ TEST(Rejoin, KillRestartRejoinBeforeEvictionConverges) {
   ASSERT_EQ(1u, rejoining.size());
   EXPECT_EQ(result.sessionId, rejoining[0]);
 
+  if (idle > Duration::zero()) clock.sleepFor(idle);
   auto results = initiator.awaitCompletion(result.sessionId, seconds(120));
   EXPECT_EQ(kItems * (kItems + 1) / 2, results.at("victim").asInt());
   EXPECT_EQ(kItems, results.at("feeder").asInt());
@@ -578,6 +579,22 @@ TEST(Rejoin, KillRestartRejoinBeforeEvictionConverges) {
   victim2->stop();
   feeder.stop();
   director.stop();
+}
+
+TEST(Rejoin, KillRestartRejoinBeforeEvictionConverges) {
+  const std::uint64_t seed = testkit::testSeed(920);
+  DAPPLE_SEED_TRACE(seed);
+  rejoinBeforeEviction(seed, Duration::zero());
+}
+
+TEST(Rejoin, RejoinIsHandledWhileNobodyAwaitsCompletion) {
+  // The initiator answers a REJOIN when it arrives: here the director is
+  // away for 5 s, longer than the restarted member's whole retry budget (8
+  // REJOINs over 2.8 s, given up at 3.6 s), and only then awaits the
+  // session, which must already have healed.
+  const std::uint64_t seed = testkit::testSeed(924);
+  DAPPLE_SEED_TRACE(seed);
+  rejoinBeforeEviction(seed, seconds(5));
 }
 
 TEST(Rejoin, RestartAfterEvictionUnEvicts) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <thread>
 
 #include "dapple/core/session.hpp"
 #include "dapple/net/sim.hpp"
@@ -250,6 +251,89 @@ TEST_F(SessionRig, SessionsGrow) {
   EXPECT_EQ(greetings.load(), 2);
 
   initiator.terminate(result.sessionId);
+  init.stop();
+}
+
+TEST_F(SessionRig, SessionGrowsWhileAnotherThreadAwaitsCompletion) {
+  // The initiator's replies are filed by its reactor, not read by whichever
+  // call happens to be receiving: a waiter parked in awaitCompletion must
+  // not swallow the INVITE and WIRE replies addMember waits for.
+  makeMembers(3);
+  std::atomic<int> greetings{0};
+  agents[0]->registerApp("grow", [&](SessionContext& ctx) {
+    while (true) {
+      ctx.inbox("in").receive();  // ShutdownError on unlink
+      ++greetings;
+    }
+  });
+  for (std::size_t i = 1; i < 3; ++i) {
+    agents[i]->registerApp("grow", [](SessionContext& ctx) {
+      DataMessage hello("hello");
+      ctx.outbox("out").send(hello);
+    });
+  }
+
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  Initiator::Plan plan;
+  plan.app = "grow";
+  plan.members.push_back(Initiator::member(directory, "m0", {"in"}));
+  plan.members.push_back(Initiator::member(directory, "m1", {}));
+  plan.edges.push_back({"m1", "out", "m0", "in"});
+  auto result = initiator.establish(plan);
+  ASSERT_TRUE(result.ok);
+
+  // m0 never finishes, so the waiter stays parked until terminate() below
+  // ends the session (or its own timeout passes); either way it must catch.
+  std::thread waiter([&] {
+    try {
+      initiator.awaitCompletion(result.sessionId, seconds(5));
+    } catch (const Error&) {
+    }
+  });
+  std::this_thread::sleep_for(milliseconds(50));
+  const bool grown = initiator.addMember(
+      result.sessionId, Initiator::member(directory, "m2", {}),
+      {{"m2", "out", "m0", "in"}}, seconds(2));
+  EXPECT_TRUE(grown);
+  for (int i = 0; i < 200 && greetings < 2; ++i) {
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+  EXPECT_EQ(greetings.load(), 2);
+
+  initiator.terminate(result.sessionId);
+  waiter.join();
+  init.stop();
+}
+
+TEST_F(SessionRig, BackToBackSessionsShareOneReplyStreamPerMember) {
+  // One reply inbox per initiator, not per session: a member's agent keeps
+  // one cached reply outbox towards it however many sessions come and go.
+  makeMembers(2);
+  registerEchoApp();
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  Initiator::Plan plan;
+  plan.app = "echo";
+  plan.members.push_back(Initiator::member(directory, "m0", {"in"}));
+  plan.members.push_back(Initiator::member(directory, "m1", {"in"}));
+  plan.edges.push_back({"m0", "out", "m1", "in"});
+  plan.edges.push_back({"m1", "out", "m0", "in"});
+  for (int session = 0; session < 3; ++session) {
+    auto result = initiator.establish(plan);
+    ASSERT_TRUE(result.ok);
+    EXPECT_EQ(initiator.awaitCompletion(result.sessionId, seconds(10)).size(),
+              2u);
+    initiator.terminate(result.sessionId);
+  }
+  // The session outboxes go at unlink; only the reply stream stays.
+  for (std::size_t m = 0; m < 2; ++m) {
+    for (int i = 0; i < 200 && !agents[m]->activeSessions().empty(); ++i) {
+      std::this_thread::sleep_for(milliseconds(10));
+    }
+    EXPECT_TRUE(agents[m]->activeSessions().empty());
+    EXPECT_EQ(dapplets[m]->describe().at("outboxes").asList().size(), 1u);
+  }
   init.stop();
 }
 
