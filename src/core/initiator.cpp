@@ -280,6 +280,63 @@ struct Initiator::Impl : ServiceCore {
            refs->second.count(edge.toInbox) != 0;
   }
 
+  static UnlinkMsg unlinkMsg(const std::string& sessionId,
+                             std::string reason) {
+    UnlinkMsg unlink;
+    unlink.sessionId = sessionId;
+    unlink.reason = std::move(reason);
+    return unlink;
+  }
+
+  /// Takes `member` out of `rec`: unbinds those of `edges` that feed its
+  /// inboxes, sends it UNLINK with `reason`, parks its outbox (a failure
+  /// hook may still hold it), forgets it, and wakes awaitCompletion, which
+  /// no longer waits for it.  Returns its liveness-watch key ("" = none)
+  /// for the caller to unwatch once it releases `mutex`, which it holds.
+  std::string dropMember(SessRec& rec, const std::string& sessionId,
+                         const std::string& member,
+                         const std::vector<Edge>& edges,
+                         const std::string& reason) {
+    std::vector<Edge> inbound;
+    for (const Edge& e : edges) {
+      if (e.toMember == member && e.fromMember != member &&
+          resolves(rec, e)) {
+        inbound.push_back(e);
+      }
+    }
+    for (const auto& [from, bindings] : planBindings(rec, inbound)) {
+      const auto boxIt = rec.memberOutbox.find(from);
+      if (boxIt == rec.memberOutbox.end()) continue;
+      UnbindMsg unbind;
+      unbind.sessionId = sessionId;
+      unbind.bindings = bindings;
+      sendOn(*boxIt->second, unbind);
+    }
+    if (const auto boxIt = rec.memberOutbox.find(member);
+        boxIt != rec.memberOutbox.end()) {
+      sendOn(*boxIt->second, unlinkMsg(sessionId, reason));
+      rec.retired.push_back(boxIt->second);
+      rec.memberOutbox.erase(boxIt);
+    }
+    std::string watchKey;
+    if (const auto it = rec.watchKeys.find(member); it != rec.watchKeys.end()) {
+      watchKey = it->second;
+      rec.watchKeys.erase(it);
+    }
+    rec.memberNodes.erase(member);
+    rec.memberLiveness.erase(member);
+    rec.memberIncarnation.erase(member);
+    rec.memberRefs.erase(member);
+    rec.wired.erase(member);
+    std::erase_if(rec.members,
+                  [&](const MemberPlan& m) { return m.name == member; });
+    std::erase_if(rec.edges, [&](const Edge& e) {
+      return e.fromMember == member || e.toMember == member;
+    });
+    notifyAll();
+    return watchKey;
+  }
+
   void failMember(const std::string& sessionId, const std::string& member,
                   const std::string& reason,
                   std::uint64_t incarnation = kAnyIncarnation) {
@@ -623,6 +680,18 @@ Initiator::Result Initiator::establish(const Plan& plan) {
   }
   std::unique_lock lock(im.mutex);
   im.sessions[result.sessionId] = rec;
+  // Paper §3.1 leaves the initiator's reaction to a refusal open; we roll
+  // back.  Every invited member gets the UNLINK, not only those that
+  // answered: one whose answer was lost has linked the session all the same.
+  const auto rollBack = [&](const char* reason) {
+    for (auto& [name, box] : rec->memberOutbox) {
+      im.sendOn(*box, Impl::unlinkMsg(result.sessionId, reason));
+    }
+    lock.unlock();
+    im.destroy(result.sessionId);
+    result.ok = false;
+    return result;
+  };
 
   // ---- Phase 1: INVITE --------------------------------------------------
   // Retry loop: each attempt (re)sends INVITE to every member that has not
@@ -642,17 +711,7 @@ Initiator::Result Initiator::establish(const Plan& plan) {
   }
   result.rejections = rec->rejections;
   if (!result.rejections.empty()) {
-    // Paper §3.1 leaves the initiator's reaction open; we roll back.
-    UnlinkMsg abortMsg;
-    abortMsg.sessionId = result.sessionId;
-    abortMsg.reason = "session aborted during setup";
-    for (const auto& [name, refs] : rec->memberRefs) {
-      im.sendOn(*rec->memberOutbox.at(name), abortMsg);
-    }
-    lock.unlock();
-    im.destroy(result.sessionId);
-    result.ok = false;
-    return result;
+    return rollBack("session aborted during setup");
   }
 
   // ---- Phase 2: WIRE ------------------------------------------------------
@@ -672,14 +731,7 @@ Initiator::Result Initiator::establish(const Plan& plan) {
     result.rejections["(wire)"] = "wiring timed out";
   }
   if (!result.rejections.empty()) {
-    UnlinkMsg abortMsg;
-    abortMsg.sessionId = result.sessionId;
-    abortMsg.reason = "session aborted during wiring";
-    for (auto& [name, box] : rec->memberOutbox) im.sendOn(*box, abortMsg);
-    lock.unlock();
-    im.destroy(result.sessionId);
-    result.ok = false;
-    return result;
+    return rollBack("session aborted during wiring");
   }
 
   // ---- Phase 3: START -----------------------------------------------------
@@ -780,20 +832,12 @@ std::map<std::string, std::string> Initiator::downMembers(
 
 void Initiator::terminate(const std::string& sessionId,
                           const std::string& reason) {
-  UnlinkMsg unlink;
-  unlink.sessionId = sessionId;
-  unlink.reason = reason;
   {
     std::scoped_lock lock(impl_->mutex);
     const auto rec = impl_->lookup(sessionId);
     if (!rec) return;  // idempotent
     for (auto& [name, box] : rec->memberOutbox) {
-      try {
-        box->send(unlink);
-      } catch (const Error& e) {
-        DAPPLE_LOG(kDebug, kLog) << "unlink to " << name
-                                 << " failed: " << e.what();
-      }
+      impl_->sendOn(*box, Impl::unlinkMsg(sessionId, reason));
     }
   }
   impl_->d.flush(seconds(2));
@@ -817,6 +861,9 @@ bool Initiator::addMember(const std::string& sessionId,
   if (!im.waitUntil(lock, deadline,
                     [&] { return rec->inviteAnswered(member.name); }) ||
       rec->memberRefs.count(member.name) == 0) {
+    // An answer still on its way means the member linked the session: the
+    // UNLINK behind the INVITE undoes that (and is ignored otherwise).
+    im.sendOn(box, Impl::unlinkMsg(sessionId, "session growth aborted"));
     d.destroyOutbox(box);
     return false;
   }
@@ -834,14 +881,25 @@ bool Initiator::addMember(const std::string& sessionId,
     wire.sessionId = sessionId;
     wire.bindings = bindings;
     rec->wired.erase(target);
+    rec->rejections.erase(target);
     rec->memberOutbox.at(target)->send(wire);
   }
-  const auto allWired = [&] {
-    return std::all_of(
-        bindingPlan.begin(), bindingPlan.end(),
-        [&](const auto& b) { return rec->wired.count(b.first) != 0; });
+  // A refused WIRE settles the wait as an ok one does, and fails it.
+  const auto refused = [&](const auto& b) {
+    return rec->rejections.count(b.first) != 0;
   };
-  if (!im.waitUntil(lock, deadline, allWired)) return false;
+  const auto allAnswered = [&] {
+    return std::all_of(bindingPlan.begin(), bindingPlan.end(),
+                       [&](const auto& b) {
+                         return rec->wired.count(b.first) != 0 || refused(b);
+                       });
+  };
+  if (!im.waitUntil(lock, deadline, allAnswered) ||
+      std::any_of(bindingPlan.begin(), bindingPlan.end(), refused)) {
+    im.dropMember(*rec, sessionId, member.name, newEdges,
+                  "session growth aborted");
+    return false;
+  }
   rec->edges.insert(rec->edges.end(), newEdges.begin(), newEdges.end());
 
   StartMsg start;
@@ -868,47 +926,8 @@ void Initiator::removeMember(const std::string& sessionId,
   {
     std::scoped_lock lock(im.mutex);
     const auto rec = im.find(sessionId);
-    // Drop every binding that targets the departing member's inboxes.
-    std::vector<Edge> inbound;
-    for (const Edge& e : rec->edges) {
-      if (e.toMember == member && e.fromMember != member &&
-          Impl::resolves(*rec, e)) {
-        inbound.push_back(e);
-      }
-    }
-    for (const auto& [from, bindings] : im.planBindings(*rec, inbound)) {
-      const auto boxIt = rec->memberOutbox.find(from);
-      if (boxIt == rec->memberOutbox.end()) continue;
-      UnbindMsg unbind;
-      unbind.sessionId = sessionId;
-      unbind.bindings = bindings;
-      boxIt->second->send(unbind);
-    }
-    if (const auto boxIt = rec->memberOutbox.find(member);
-        boxIt != rec->memberOutbox.end()) {
-      UnlinkMsg unlink;
-      unlink.sessionId = sessionId;
-      unlink.reason = "removed from session";
-      boxIt->second->send(unlink);
-      // Park the outbox instead of freeing it under a failure hook's feet.
-      rec->retired.push_back(boxIt->second);
-      rec->memberOutbox.erase(boxIt);
-    }
-    if (const auto it = rec->watchKeys.find(member);
-        it != rec->watchKeys.end()) {
-      watchKey = it->second;
-      rec->watchKeys.erase(it);
-    }
-    rec->memberNodes.erase(member);
-    rec->memberLiveness.erase(member);
-    rec->memberIncarnation.erase(member);
-    rec->memberRefs.erase(member);
-    std::erase_if(rec->members,
-                  [&](const MemberPlan& m) { return m.name == member; });
-    std::erase_if(rec->edges, [&](const Edge& e) {
-      return e.fromMember == member || e.toMember == member;
-    });
-    im.notifyAll();  // awaitCompletion no longer waits for `member`
+    watchKey = im.dropMember(*rec, sessionId, member, rec->edges,
+                             "removed from session");
   }
   im.d.flush(seconds(2));
   if (im.monitor != nullptr && !watchKey.empty()) im.monitor->unwatch(watchKey);

@@ -190,7 +190,11 @@ struct SessionAgent::Impl : ServiceCore,
 
   // -- helpers -----------------------------------------------------------
 
-  /// Sends `msg` to `target` over a cached dedicated outbox.
+  /// Sends `msg` to `target` over a cached dedicated outbox.  Every session
+  /// of one initiator replies on that stream, so a failed stream (the
+  /// initiator was unreachable past deliveryTimeout) is reset and the send
+  /// retried once: onPeerFailure unlinks the sessions the failure broke,
+  /// and the failure must not outlive the outage for the sessions after.
   void reply(const InboxRef& target, const Message& msg) {
     Outbox* box = nullptr;
     {
@@ -206,17 +210,12 @@ struct SessionAgent::Impl : ServiceCore,
         replyOutboxes.emplace(key, box);
       }
     }
-    box->send(msg);
-  }
-
-  /// Clears a failed cached reply stream so the next reply() can retry
-  /// (used by the rejoin retry loop, which must survive transient
-  /// delivery failures to the initiator).
-  void resetReply(const InboxRef& target) {
-    std::scoped_lock lock(replyMutex);
-    const std::uint64_t key = target.node.packed() * 1000003u + target.localId;
-    const auto it = replyOutboxes.find(key);
-    if (it != replyOutboxes.end()) it->second->reset();
+    try {
+      box->send(msg);
+    } catch (const DeliveryError&) {
+      box->reset();
+      box->send(msg);
+    }
   }
 
   /// How many times a restarted member re-sends its REJOIN before declaring
@@ -261,7 +260,7 @@ struct SessionAgent::Impl : ServiceCore,
     try {
       reply(rec->initiatorReply, rj);
     } catch (const Error&) {
-      resetReply(rec->initiatorReply);
+      // The next step sends again.
     }
     auto self = shared_from_this();
     const Duration delay = milliseconds(100) * (attempt + 1);

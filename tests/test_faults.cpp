@@ -5,6 +5,7 @@
 // specified exceptions.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 
 #include "dapple/apps/calendar.hpp"
@@ -140,6 +141,63 @@ TEST(Faults, PartitionSurfacesDeliveryErrorThenHeals) {
 
   a.stop();
   b.stop();
+}
+
+TEST(Faults, NextSessionReachesMemberWhoseReplyStreamFailed) {
+  // A member answers every session of one initiator on one reply stream.  A
+  // partition that outlasts deliveryTimeout while its DONE is in flight
+  // fails that stream; once the partition heals, the next session must get
+  // the member's answers again.
+  const std::uint64_t seed = testkit::testSeed(781);
+  DAPPLE_SEED_TRACE(seed);
+  testkit::VirtualClock clock;
+  SimNetwork net(seed, simOn(clock));
+  std::atomic<bool> cut{false};  // outlives the role threads
+  DappletConfig cfg;
+  cfg.clock = &clock;
+  cfg.reliable.tickInterval = milliseconds(2);
+  cfg.reliable.rto = milliseconds(10);
+  cfg.reliable.deliveryTimeout = milliseconds(250);
+  cfg.host = 1;
+  Dapplet director(net, "director", cfg);
+  cfg.host = 2;
+  Dapplet member(net, "m0", cfg);
+  SessionAgent agent(member);
+  agent.registerApp("late", [&cut](SessionContext& ctx) {
+    // Finish only once the partition is up, so the DONE goes into it.
+    while (!cut) ctx.dapplet().clockSource().sleepFor(milliseconds(5));
+    ctx.setResult(Value(ctx.sessionId()));
+  });
+  Directory directory;
+  directory.put("m0", agent.controlRef());
+  Initiator initiator(director);
+  Initiator::Plan plan;
+  plan.app = "late";
+  plan.phaseTimeout = seconds(5);
+  plan.members.push_back(Initiator::member(directory, "m0", {}));
+
+  const auto first = initiator.establish(plan);
+  ASSERT_TRUE(first.ok);
+  net.setPartition(1, 2, true);
+  cut = true;
+  // The reply stream gives up, and the agent drops the session as headless.
+  for (int i = 0; i < 200 && agent.stats().initiatorsLost == 0; ++i) {
+    clock.sleepFor(milliseconds(10));
+  }
+  ASSERT_EQ(1u, agent.stats().initiatorsLost);
+  net.setPartition(1, 2, false);
+  initiator.terminate(first.sessionId);
+
+  auto second = initiator.establish(plan);
+  ASSERT_TRUE(second.ok) << "m0: " << second.rejections["m0"];
+  EXPECT_EQ(second.sessionId,
+            initiator.awaitCompletion(second.sessionId, seconds(5))
+                .at("m0")
+                .asString());
+  initiator.terminate(second.sessionId);
+
+  member.stop();
+  director.stop();
 }
 
 TEST(Faults, TokensSurviveLossyNetwork) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 
 #include "dapple/core/session.hpp"
+#include "dapple/core/session_msgs.hpp"
 #include "dapple/net/sim.hpp"
 #include "dapple/serial/data_message.hpp"
 
@@ -334,6 +336,111 @@ TEST_F(SessionRig, BackToBackSessionsShareOneReplyStreamPerMember) {
     EXPECT_TRUE(agents[m]->activeSessions().empty());
     EXPECT_EQ(dapplets[m]->describe().at("outboxes").asList().size(), 1u);
   }
+  init.stop();
+}
+
+/// A member run by hand instead of by a SessionAgent, for answers no agent
+/// gives: it accepts every INVITE unless `silent`, refuses every WIRE, and
+/// counts the UNLINKs it receives.
+struct ScriptedMember {
+  ScriptedMember(SimNetwork& net, bool silent) : dapplet(net, "scripted") {
+    Inbox& control = dapplet.createInbox();
+    ref = control.ref();
+    control.onMessage([this, silent](Delivery del) {
+      const Message& m = *del.message;
+      if (const auto* invite = dynamic_cast<const InviteMsg*>(&m)) {
+        if (silent) return;
+        if (replies.fanout() == 0) replies.add(invite->replyTo);
+        InviteReplyMsg reply;
+        reply.sessionId = invite->sessionId;
+        reply.memberName = invite->memberName;
+        reply.accepted = true;
+        replies.send(reply);
+      } else if (const auto* wire = dynamic_cast<const WireMsg*>(&m)) {
+        WireReplyMsg reply;
+        reply.sessionId = wire->sessionId;
+        reply.memberName = "scripted";
+        reply.reason = "wiring refused";
+        replies.send(reply);
+      } else if (dynamic_cast<const UnlinkMsg*>(&m) != nullptr) {
+        ++unlinks;
+      }
+    });
+  }
+
+  bool awaitUnlinks(int n) const {
+    for (int i = 0; i < 200 && unlinks < n; ++i) {
+      std::this_thread::sleep_for(milliseconds(10));
+    }
+    return unlinks == n;
+  }
+
+  std::atomic<int> unlinks{0};
+  Dapplet dapplet;  // after `unlinks`: stopped first, with its handler
+  Outbox& replies = dapplet.createOutbox();
+  InboxRef ref;
+};
+
+TEST_F(SessionRig, RefusedWireFailsGrowthAtOnceAndRollsItBack) {
+  // A refused WIRE ends addMember's wait, and the newcomer leaves the
+  // session as if never added: it is unlinked, and awaitCompletion does not
+  // wait for a member that was never started.
+  makeMembers(1);
+  agents[0]->registerApp("solo", [](SessionContext& ctx) {
+    ctx.setResult(Value(ctx.self()));
+  });
+  ScriptedMember scripted(net, false);
+  directory.put("scripted", scripted.ref);
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  Initiator::Plan plan;
+  plan.app = "solo";
+  plan.members.push_back(Initiator::member(directory, "m0", {}));
+  auto result = initiator.establish(plan);
+  ASSERT_TRUE(result.ok);
+
+  const auto before = std::chrono::steady_clock::now();
+  EXPECT_FALSE(initiator.addMember(result.sessionId,
+                                   Initiator::member(directory, "scripted", {}),
+                                   {}, seconds(5)));
+  EXPECT_LT(std::chrono::steady_clock::now() - before, seconds(2));
+  EXPECT_TRUE(scripted.awaitUnlinks(1));
+  const auto results = initiator.awaitCompletion(result.sessionId, seconds(5));
+  EXPECT_EQ(1u, results.size());
+  EXPECT_EQ("m0", results.at("m0").asString());
+  initiator.terminate(result.sessionId);
+  init.stop();
+}
+
+TEST_F(SessionRig, FailedSetupsUnlinkMembersThatNeverAnswered) {
+  // A member whose INVITE answer was lost has linked the session all the
+  // same, so an aborted establish and a failed addMember both unlink it.
+  makeMembers(1);
+  registerEchoApp();
+  ScriptedMember silent(net, true);
+  directory.put("scripted", silent.ref);
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  Initiator::Plan plan;
+  plan.app = "echo";
+  plan.phaseTimeout = milliseconds(300);
+  plan.members.push_back(Initiator::member(directory, "m0", {"in"}));
+  plan.members.push_back(Initiator::member(directory, "scripted", {"in"}));
+  auto result = initiator.establish(plan);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.rejections["scripted"].find("timeout"), std::string::npos);
+  EXPECT_TRUE(silent.awaitUnlinks(1));
+
+  Initiator::Plan solo;
+  solo.app = "echo";
+  solo.members.push_back(Initiator::member(directory, "m0", {}));
+  result = initiator.establish(solo);
+  ASSERT_TRUE(result.ok);
+  EXPECT_FALSE(initiator.addMember(result.sessionId,
+                                   Initiator::member(directory, "scripted", {}),
+                                   {}, milliseconds(300)));
+  EXPECT_TRUE(silent.awaitUnlinks(2));
+  initiator.terminate(result.sessionId);
   init.stop();
 }
 
