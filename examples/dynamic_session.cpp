@@ -157,8 +157,12 @@ int main() {
   while (g_answers < 6) std::this_thread::sleep_for(milliseconds(5));
   std::printf("both panelists answered 3 questions (6 answers)\n");
 
-  // Shrink: raj leaves the panel mid-session.
+  // Shrink: raj leaves the panel mid-session.  removeMember returns once
+  // raj's UNLINK is queued; raj unlinks when it arrives.
   initiator.removeMember(result.sessionId, "panel.raj");
+  for (int i = 0; i < 400 && !rajAgent->activeSessions().empty(); ++i) {
+    std::this_thread::sleep_for(milliseconds(5));
+  }
   std::printf("raj removed from the session; active sessions at raj: %zu\n",
               rajAgent->activeSessions().size());
 

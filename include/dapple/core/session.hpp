@@ -64,7 +64,8 @@ class SessionContext {
   /// The hosting dapplet (for clocks, spawning helpers, etc.).
   Dapplet& dapplet() const { return dapplet_; }
 
-  /// Fires when the initiator unlinks or aborts the session.
+  /// Fires when the initiator unlinks or aborts the session, and when the
+  /// hosting dapplet stops.
   std::stop_token stopToken() const;
 
   /// Sets the value reported to the initiator in this member's DONE.
@@ -167,8 +168,9 @@ class SessionAgent {
 /// Establishes, grows, shrinks, and terminates sessions from any dapplet.
 ///
 /// Its replies (INVITE and WIRE answers, DONEs, REJOINs) arrive in one
-/// reply inbox handled on the dapplet's reactor.  `establish`,
-/// `awaitCompletion`, `addMember`, `removeMember` and `terminate` block
+/// reply inbox handled on the dapplet's reactor.  Everything it sends one
+/// member, for every session, rides one FIFO channel to that member's
+/// control inbox.  `establish`, `awaitCompletion` and `addMember` block
 /// their caller, so they must not run in a handler or timer on that
 /// dapplet's reactor: the reply they wait for is handled there.
 class Initiator {
@@ -207,10 +209,11 @@ class Initiator {
     std::vector<Edge> edges;
     Value params;                 ///< session-wide parameters
     Duration phaseTimeout = seconds(10);
-    /// Setup retry policy: INVITE/WIRE/START are re-sent to unresponsive
+    /// Setup retry policy: INVITE and WIRE are re-sent to unresponsive
     /// members up to `setupAttempts` times, waiting a jittered exponential
     /// backoff (`retryBase`, `2*retryBase`, ...) between attempts, all
-    /// bounded by `phaseTimeout`.  One attempt = no retries.
+    /// bounded by `phaseTimeout`.  One attempt = no retries.  START is sent
+    /// once and flushed within `phaseTimeout`.
     std::size_t setupAttempts = 4;
     Duration retryBase = milliseconds(200);
   };
@@ -257,7 +260,10 @@ class Initiator {
   std::map<std::string, std::string> downMembers(
       const std::string& sessionId) const;
 
-  /// Broadcasts UNLINK, ending the session.  Idempotent.
+  /// Broadcasts UNLINK, ending the session.  Idempotent.  Returns once the
+  /// UNLINKs are queued; each is ordered before anything this initiator
+  /// later sends that member.  A caller that stops this dapplet right after
+  /// and needs the UNLINKs delivered calls `Dapplet::flush` first.
   void terminate(const std::string& sessionId, const std::string& reason = "");
 
   /// Grows a live session: invites `member`, wires `newEdges` (which may
@@ -267,7 +273,8 @@ class Initiator {
                  const std::vector<Edge>& newEdges, Duration timeout);
 
   /// Shrinks a live session: unlinks `member` and drops every binding that
-  /// targets its inboxes.
+  /// targets its inboxes.  Returns once the UNBINDs and the UNLINK are
+  /// queued, ordered as for terminate().
   void removeMember(const std::string& sessionId, const std::string& member);
 
  private:

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "dapple/core/service.hpp"
@@ -20,7 +22,10 @@ constexpr const char* kLog = "initiator";
 /// reply inbox, shared by every session, is handled on the dapplet's
 /// reactor.  The handler files INVITE replies, WIRE replies and DONEs into
 /// the session records and answers a REJOIN on arrival; the blocking calls
-/// wait on those records.  `mutex` guards every session.
+/// wait on those records.  Everything sent to one member control inbox rides
+/// one FIFO channel shared by every session (paper §3.2), so a member handles
+/// a session's UNLINK before any later INVITE.  `mutex` guards every session
+/// and channel.
 struct Initiator::Impl : ServiceCore {
   Impl(Dapplet& dapplet, PeerMonitor* mon)
       : ServiceCore(dapplet, ""),
@@ -73,6 +78,7 @@ struct Initiator::Impl : ServiceCore {
     std::vector<Edge> edges;
     Value params;
 
+    /// Each member's control channel (see channel()).
     std::map<std::string, Outbox*> memberOutbox;
     std::map<std::string, std::map<std::string, InboxRef>> memberRefs;
     std::map<std::string, InboxRef> memberLiveness;
@@ -90,9 +96,6 @@ struct Initiator::Impl : ServiceCore {
     std::map<std::string, std::string> watchKeys;
     std::map<std::string, Value> doneResults;
     std::map<std::string, std::string> down;  // evicted member -> reason
-    // Dead members' outboxes are parked here (sends may race with eviction)
-    // and destroyed with the session.
-    std::vector<Outbox*> retired;
     /// Set once START went out; until then failure hooks and REJOINs leave
     /// the record to establish().
     bool established = false;
@@ -102,6 +105,29 @@ struct Initiator::Impl : ServiceCore {
     }
   };
   std::map<std::string, std::shared_ptr<SessRec>> sessions;
+
+  /// One control outbox per member control inbox, kept for the initiator's
+  /// life, and the highest incarnation (DESIGN.md §12) seen on it.
+  struct Channel {
+    Outbox* box = nullptr;
+    std::uint64_t incarnation = 0;
+  };
+  std::unordered_map<InboxRef, Channel> channels;
+
+  /// The channel to `control`, created on first use.  A process restarted at
+  /// the same address (a higher `incarnation`) must not inherit the old
+  /// one's sequence numbers, so the channel is reset.  Caller holds `mutex`.
+  Outbox& channel(const InboxRef& control, std::uint64_t incarnation = 0) {
+    Channel& ch = channels[control];
+    if (ch.box == nullptr) {
+      ch.box = &d.createOutbox();
+      ch.box->add(control);
+    } else if (incarnation > ch.incarnation) {
+      ch.box->reset();
+    }
+    ch.incarnation = std::max(ch.incarnation, incarnation);
+    return *ch.box;
+  }
 
   /// The record of `sessionId`, or null.  The caller holds `mutex`.
   std::shared_ptr<SessRec> lookup(const std::string& sessionId) const {
@@ -172,7 +198,9 @@ struct Initiator::Impl : ServiceCore {
   }
 
   /// Sends `msg` on `box`, resetting a failed stream once and retrying; the
-  /// reliable layer's retransmission handles packet loss below this.
+  /// reliable layer's retransmission handles packet loss below this.  A
+  /// failed stream has already dropped its frames, so the reset loses no
+  /// other session's.
   bool sendOn(Outbox& box, const Message& msg) {
     try {
       box.send(msg);
@@ -289,10 +317,10 @@ struct Initiator::Impl : ServiceCore {
   }
 
   /// Takes `member` out of `rec`: unbinds those of `edges` that feed its
-  /// inboxes, sends it UNLINK with `reason`, parks its outbox (a failure
-  /// hook may still hold it), forgets it, and wakes awaitCompletion, which
-  /// no longer waits for it.  Returns its liveness-watch key ("" = none)
-  /// for the caller to unwatch once it releases `mutex`, which it holds.
+  /// inboxes, sends it UNLINK with `reason`, forgets it, and wakes
+  /// awaitCompletion, which no longer waits for it.  Returns its
+  /// liveness-watch key ("" = none) for the caller to unwatch once it
+  /// releases `mutex`, which it holds.
   std::string dropMember(SessRec& rec, const std::string& sessionId,
                          const std::string& member,
                          const std::vector<Edge>& edges,
@@ -315,7 +343,6 @@ struct Initiator::Impl : ServiceCore {
     if (const auto boxIt = rec.memberOutbox.find(member);
         boxIt != rec.memberOutbox.end()) {
       sendOn(*boxIt->second, unlinkMsg(sessionId, reason));
-      rec.retired.push_back(boxIt->second);
       rec.memberOutbox.erase(boxIt);
     }
     std::string watchKey;
@@ -375,11 +402,7 @@ struct Initiator::Impl : ServiceCore {
       if (nodeIt != rec->memberNodes.end()) {
         notice.node = nodeIt->second.packed();
       }
-      const auto boxIt = rec->memberOutbox.find(member);
-      if (boxIt != rec->memberOutbox.end()) {
-        rec->retired.push_back(boxIt->second);
-        rec->memberOutbox.erase(boxIt);
-      }
+      rec->memberOutbox.erase(member);
       if (const auto wkIt = rec->watchKeys.find(member);
           wkIt != rec->watchKeys.end()) {
         watchKey = wkIt->second;
@@ -388,8 +411,7 @@ struct Initiator::Impl : ServiceCore {
       DAPPLE_LOG(kInfo, kLog) << d.name() << ": session " << sessionId
                               << ": member '" << member << "' declared down ("
                               << reason << ")";
-      // Broadcast MEMBER_DOWN to the survivors while still holding `mutex`
-      // so a concurrent terminate() cannot free the outboxes mid-send.
+      // Broadcast MEMBER_DOWN to the survivors.
       for (const auto& [name, box] : rec->memberOutbox) {
         if (!sendOn(*box, notice)) {
           DAPPLE_LOG(kDebug, kLog)
@@ -403,7 +425,7 @@ struct Initiator::Impl : ServiceCore {
 
   /// REJOIN handshake (DESIGN.md §12): a restarted member asks to be
   /// re-admitted at its new address.  Accept = re-point the member's
-  /// outbox/refs/node/liveness at the new process, replay WIRE + START to
+  /// channel/refs/node/liveness at the new process, replay WIRE + START to
   /// it, re-wire the survivors' edges into its re-created inboxes, and
   /// broadcast MEMBER_UP.  Idempotent per incarnation: duplicate requests
   /// converge, and requests racing a not-yet-processed eviction of the old
@@ -457,16 +479,9 @@ struct Initiator::Impl : ServiceCore {
             if (name != m.memberName) sendOn(*box, stale);
           }
         }
-        // Never reuse the dead process's outbox: park it (sends may still
-        // race) and re-register under the same member name, so the member
-        // list gains no duplicate entry however the race resolved.
-        if (const auto boxIt = rec->memberOutbox.find(m.memberName);
-            boxIt != rec->memberOutbox.end()) {
-          rec->retired.push_back(boxIt->second);
-          rec->memberOutbox.erase(boxIt);
-        }
-        Outbox& box = d.createOutbox();
-        box.add(m.control);
+        // Re-register under the same member name, so the member list gains
+        // no duplicate entry however the race resolved.
+        Outbox& box = channel(m.control, m.incarnation);
         rec->memberOutbox[m.memberName] = &box;
         rec->memberRefs[m.memberName] = m.inboxRefs;
         rec->memberNodes[m.memberName] = m.control.node;
@@ -538,12 +553,8 @@ struct Initiator::Impl : ServiceCore {
             << m.memberName << "' rejoined (incarnation " << m.incarnation
             << ")";
       } else {
-        // NACK on a throwaway outbox so the requester stops retrying and
-        // discards its journal; parked with the session like other retirees.
-        Outbox& nack = d.createOutbox();
-        nack.add(m.control);
-        sendOn(nack, ack);
-        rec->retired.push_back(&nack);
+        // NACK so the requester stops retrying and discards its journal.
+        sendOn(channel(m.control, m.incarnation), ack);
       }
     }
     if (!ack.accepted) {
@@ -564,7 +575,7 @@ struct Initiator::Impl : ServiceCore {
                     " inc=" + std::to_string(m.incarnation));
   }
 
-  /// Forgets `sessionId`, frees its outboxes and wakes its waiters.
+  /// Forgets `sessionId` and wakes its waiters.
   void destroy(const std::string& sessionId) {
     std::vector<std::string> keys;
     {
@@ -574,10 +585,6 @@ struct Initiator::Impl : ServiceCore {
       sessions.erase(sessionId);
       for (const auto& [name, key] : rec->watchKeys) keys.push_back(key);
       rec->watchKeys.clear();
-      for (auto& [name, box] : rec->memberOutbox) d.destroyOutbox(*box);
-      rec->memberOutbox.clear();
-      for (Outbox* box : rec->retired) d.destroyOutbox(*box);
-      rec->retired.clear();
       notifyAll();
     }
     if (monitor != nullptr) {
@@ -597,30 +604,26 @@ Initiator::Initiator(Dapplet& dapplet, PeerMonitor* monitor)
         auto impl = weak.lock();
         if (!impl) return;
         (void)dst;
-        std::string sessionId;
-        std::string member;
-        std::uint64_t inc = 0;
+        // The channel is every session's: fail its member in each of them.
+        std::vector<std::tuple<std::string, std::string, std::uint64_t>>
+            verdicts;
         {
           std::scoped_lock lock(impl->mutex);
           for (const auto& [id, rec] : impl->sessions) {
             for (const auto& [name, box] : rec->memberOutbox) {
-              if (box->id() == outboxId) {
-                sessionId = id;
-                member = name;
-                // Pin the verdict to the incarnation the stream belonged
-                // to: if the member rejoins before failMember runs, the
-                // verdict is stale and must not evict the new process.
-                const auto it = rec->memberIncarnation.find(name);
-                inc = it == rec->memberIncarnation.end() ? 0 : it->second;
-                break;
-              }
+              if (box->id() != outboxId) continue;
+              // Pin the verdict to the incarnation the stream belonged to:
+              // if the member rejoins before failMember runs, the verdict
+              // is stale and must not evict the new process.
+              const auto it = rec->memberIncarnation.find(name);
+              verdicts.emplace_back(
+                  id, name,
+                  it == rec->memberIncarnation.end() ? 0 : it->second);
             }
-            if (!member.empty()) break;
           }
         }
-        if (!member.empty()) {
-          impl->failMember(sessionId, member, "stream failure: " + reason,
-                           inc);
+        for (const auto& [id, name, inc] : verdicts) {
+          impl->failMember(id, name, "stream failure: " + reason, inc);
         }
       });
   if (monitor != nullptr) {
@@ -673,12 +676,10 @@ Initiator::Result Initiator::establish(const Plan& plan) {
   rec->members = plan.members;
   rec->edges = plan.edges;
   rec->params = plan.params;
-  for (const MemberPlan& member : plan.members) {
-    Outbox& box = d.createOutbox();
-    box.add(member.control);
-    rec->memberOutbox[member.name] = &box;
-  }
   std::unique_lock lock(im.mutex);
+  for (const MemberPlan& member : plan.members) {
+    rec->memberOutbox[member.name] = &im.channel(member.control);
+  }
   im.sessions[result.sessionId] = rec;
   // Paper §3.1 leaves the initiator's reaction to a refusal open; we roll
   // back.  Every invited member gets the UNLINK, not only those that
@@ -735,32 +736,20 @@ Initiator::Result Initiator::establish(const Plan& plan) {
   }
 
   // ---- Phase 3: START -----------------------------------------------------
-  // START has no reply; confirmation is transport-level.  Send, then flush;
-  // a failed stream gets reset and START re-sent (duplicate STARTs are
-  // ignored by the agent's `started` latch).
+  // START has no reply; confirmation is transport-level.  It is sent once
+  // (the reliable layer retransmits), and the flush holds the liveness
+  // watch back until the members have it.
   StartMsg start;
   start.sessionId = result.sessionId;
   for (const MemberPlan& member : plan.members) {
     start.peers.push_back(member.name);
   }
   start.params = plan.params;
-  const std::size_t attempts = std::max<std::size_t>(1, plan.setupAttempts);
   const TimePoint startStart = im.now();
-  const TimePoint startDeadline = startStart + plan.phaseTimeout;
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    for (auto& [name, box] : rec->memberOutbox) im.sendOn(*box, start);
-    const TimePoint flushBy =
-        attempt + 1 == attempts
-            ? startDeadline
-            : std::min(startDeadline, im.now() + im.backoff(plan, attempt));
-    lock.unlock();
-    const auto now = im.now();
-    const bool flushed =
-        d.flush(flushBy > now ? flushBy - now : Duration::zero());
-    lock.lock();
-    if (flushed || im.now() >= startDeadline) break;
-    for (auto& [name, box] : rec->memberOutbox) box->reset();
-  }
+  for (auto& [name, box] : rec->memberOutbox) im.sendOn(*box, start);
+  lock.unlock();
+  d.flush(plan.phaseTimeout);
+  lock.lock();
   im.mStartRoundUs->record(im.microsSince(startStart));
   im.trace->emit("session", "session.established", result.sessionId,
                  static_cast<std::int64_t>(plan.members.size()));
@@ -840,7 +829,6 @@ void Initiator::terminate(const std::string& sessionId,
       impl_->sendOn(*box, Impl::unlinkMsg(sessionId, reason));
     }
   }
-  impl_->d.flush(seconds(2));
   impl_->destroy(sessionId);
 }
 
@@ -849,22 +837,19 @@ bool Initiator::addMember(const std::string& sessionId,
                           const std::vector<Edge>& newEdges,
                           Duration timeout) {
   Impl& im = *impl_;
-  Dapplet& d = im.d;
   const TimePoint deadline = im.now() + timeout;
   std::unique_lock lock(im.mutex);
   const auto rec = im.find(sessionId);
 
-  Outbox& box = d.createOutbox();
-  box.add(member.control);
+  Outbox& box = im.channel(member.control);
   rec->rejections.erase(member.name);  // a refusal from an earlier attempt
-  box.send(im.makeInvite(sessionId, rec->app, member));
+  im.sendOn(box, im.makeInvite(sessionId, rec->app, member));
   if (!im.waitUntil(lock, deadline,
                     [&] { return rec->inviteAnswered(member.name); }) ||
       rec->memberRefs.count(member.name) == 0) {
     // An answer still on its way means the member linked the session: the
     // UNLINK behind the INVITE undoes that (and is ignored otherwise).
     im.sendOn(box, Impl::unlinkMsg(sessionId, "session growth aborted"));
-    d.destroyOutbox(box);
     return false;
   }
   rec->memberOutbox[member.name] = &box;
@@ -882,7 +867,7 @@ bool Initiator::addMember(const std::string& sessionId,
     wire.bindings = bindings;
     rec->wired.erase(target);
     rec->rejections.erase(target);
-    rec->memberOutbox.at(target)->send(wire);
+    im.sendOn(*rec->memberOutbox.at(target), wire);
   }
   // A refused WIRE settles the wait as an ok one does, and fails it.
   const auto refused = [&](const auto& b) {
@@ -906,7 +891,7 @@ bool Initiator::addMember(const std::string& sessionId,
   start.sessionId = sessionId;
   for (const MemberPlan& m : rec->members) start.peers.push_back(m.name);
   start.params = rec->params;
-  rec->memberOutbox.at(member.name)->send(start);
+  im.sendOn(box, start);
   const std::string watchKey = sessionId + "/" + member.name;
   InboxRef liveRef;
   if (const auto it = rec->memberLiveness.find(member.name);
@@ -929,7 +914,6 @@ void Initiator::removeMember(const std::string& sessionId,
     watchKey = im.dropMember(*rec, sessionId, member, rec->edges,
                              "removed from session");
   }
-  im.d.flush(seconds(2));
   if (im.monitor != nullptr && !watchKey.empty()) im.monitor->unwatch(watchKey);
 }
 

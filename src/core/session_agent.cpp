@@ -474,7 +474,9 @@ struct SessionAgent::Impl : ServiceCore,
       role = roles.at(rec->app);
     }
     auto self = shared_from_this();
-    d.spawn([self, rec, role](std::stop_token) {
+    d.spawn([self, rec, role](std::stop_token stop) {
+      const std::stop_callback stopRole(
+          stop, [&rec] { rec->stopSource.request_stop(); });
       self->runRole(rec, role);
     });
   }

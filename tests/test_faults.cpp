@@ -200,6 +200,69 @@ TEST(Faults, NextSessionReachesMemberWhoseReplyStreamFailed) {
   director.stop();
 }
 
+TEST(Faults, TerminateReturnsBeforeItsUnlinksAreAcked) {
+  // Everything an initiator sends one member rides one FIFO channel, so a
+  // session's UNLINK is handled before the next session's INVITE and
+  // terminate() has no acks to wait for.  Both sessions write one key: an
+  // INVITE that overtook the UNLINK would be refused as interference.
+  const std::uint64_t seed = testkit::testSeed(783);
+  DAPPLE_SEED_TRACE(seed);
+  testkit::VirtualClock clock;
+  // Time stands still while the test thread runs: terminate()'s duration
+  // is what it waits, not the scheduler's advance.
+  clock.announceWorker();
+  const ClockSource::WorkerScope mainIsWorker(clock);
+  SimNetwork net(seed, simOn(clock));
+  const LinkParams link{milliseconds(1), microseconds(0), 0.0, 0.0};
+  net.setDefaultLink(link);
+  DappletConfig cfg;
+  cfg.clock = &clock;
+  cfg.host = 1;
+  Dapplet director(net, "director", cfg);
+  Directory directory;
+  std::vector<std::unique_ptr<Dapplet>> members;
+  std::vector<std::unique_ptr<SessionAgent>> agents;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    cfg.host = 2 + i;
+    const std::string name = "m" + std::to_string(i);
+    members.push_back(std::make_unique<Dapplet>(net, name, cfg));
+    agents.push_back(std::make_unique<SessionAgent>(*members.back()));
+    agents.back()->registerApp("write", [](SessionContext& ctx) {
+      ctx.setResult(Value(ctx.self()));
+    });
+    directory.put(name, agents.back()->controlRef());
+  }
+  Initiator initiator(director);
+  Initiator::Plan plan;
+  plan.app = "write";
+  for (const char* name : {"m0", "m1"}) {
+    auto member = Initiator::member(directory, name, {});
+    member.writeKeys = {"doc"};
+    plan.members.push_back(member);
+  }
+
+  const auto first = initiator.establish(plan);
+  ASSERT_TRUE(first.ok);
+  EXPECT_EQ(2u, initiator.awaitCompletion(first.sessionId, seconds(5)).size());
+  // The director -> m0 link drops everything for 300 ms, well inside
+  // deliveryTimeout: the UNLINK to m0 waits for a retransmission.
+  net.setHostLink(1, 2, LinkParams{milliseconds(1), microseconds(0), 1.0, 0.0});
+  const TimePoint before = clock.now();
+  initiator.terminate(first.sessionId);
+  EXPECT_LE(clock.now() - before, milliseconds(1));
+  clock.sleepFor(milliseconds(300));
+  net.setHostLink(1, 2, link);
+
+  auto second = initiator.establish(plan);
+  ASSERT_TRUE(second.ok) << "m0: " << second.rejections["m0"];
+  EXPECT_EQ(2u, initiator.awaitCompletion(second.sessionId, seconds(5)).size());
+  initiator.terminate(second.sessionId);
+
+  agents.clear();
+  for (auto& m : members) m->stop();
+  director.stop();
+}
+
 TEST(Faults, TokensSurviveLossyNetwork) {
   const std::uint64_t seed = testkit::testSeed(779);
   DAPPLE_SEED_TRACE(seed);

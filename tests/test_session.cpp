@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -49,6 +50,23 @@ class SessionRig : public ::testing::Test {
         r["member"] = Value(ctx.self());
         ctx.setResult(Value(std::move(r)));
       });
+    }
+  }
+
+  /// Runs `n` echo sessions of m0 and m1 back to back from `initiator`.
+  void runEchoSessions(Initiator& initiator, int n) {
+    Initiator::Plan plan;
+    plan.app = "echo";
+    plan.members.push_back(Initiator::member(directory, "m0", {"in"}));
+    plan.members.push_back(Initiator::member(directory, "m1", {"in"}));
+    plan.edges.push_back({"m0", "out", "m1", "in"});
+    plan.edges.push_back({"m1", "out", "m0", "in"});
+    for (int session = 0; session < n; ++session) {
+      auto result = initiator.establish(plan);
+      ASSERT_TRUE(result.ok);
+      EXPECT_EQ(
+          initiator.awaitCompletion(result.sessionId, seconds(10)).size(), 2u);
+      initiator.terminate(result.sessionId);
     }
   }
 
@@ -315,19 +333,7 @@ TEST_F(SessionRig, BackToBackSessionsShareOneReplyStreamPerMember) {
   registerEchoApp();
   Dapplet init(net, "init");
   Initiator initiator(init);
-  Initiator::Plan plan;
-  plan.app = "echo";
-  plan.members.push_back(Initiator::member(directory, "m0", {"in"}));
-  plan.members.push_back(Initiator::member(directory, "m1", {"in"}));
-  plan.edges.push_back({"m0", "out", "m1", "in"});
-  plan.edges.push_back({"m1", "out", "m0", "in"});
-  for (int session = 0; session < 3; ++session) {
-    auto result = initiator.establish(plan);
-    ASSERT_TRUE(result.ok);
-    EXPECT_EQ(initiator.awaitCompletion(result.sessionId, seconds(10)).size(),
-              2u);
-    initiator.terminate(result.sessionId);
-  }
+  runEchoSessions(initiator, 3);
   // The session outboxes go at unlink; only the reply stream stays.
   for (std::size_t m = 0; m < 2; ++m) {
     for (int i = 0; i < 200 && !agents[m]->activeSessions().empty(); ++i) {
@@ -336,6 +342,63 @@ TEST_F(SessionRig, BackToBackSessionsShareOneReplyStreamPerMember) {
     EXPECT_TRUE(agents[m]->activeSessions().empty());
     EXPECT_EQ(dapplets[m]->describe().at("outboxes").asList().size(), 1u);
   }
+  init.stop();
+}
+
+TEST_F(SessionRig, BackToBackSessionsShareOneControlStreamPerMember) {
+  // The initiator, too, keeps one channel per member for every session, so
+  // each member's UNLINK is ordered before the next session's INVITE.
+  makeMembers(2);
+  registerEchoApp();
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  runEchoSessions(initiator, 3);
+  // Outbox ids count up from 1; this rig's initiator uses fewer than 64.
+  for (std::size_t m = 0; m < 2; ++m) {
+    int streams = 0;
+    for (std::uint64_t id = 1; id < 64; ++id) {
+      if (init.transport().probeStream(dapplets[m]->address(), id).exists) {
+        ++streams;
+      }
+    }
+    EXPECT_EQ(1, streams) << "send streams to m" << m;
+  }
+  init.stop();
+}
+
+TEST_F(SessionRig, StoppingAMemberDappletEndsItsRole) {
+  // A role that runs until its stop token fires ends when its dapplet stops,
+  // even while the session is still linked: stop() joins the role.
+  makeMembers(1);
+  std::atomic<bool> running{false};
+  std::atomic<bool> watchdog{false};  // frees a stop() stuck on the role
+  agents[0]->registerApp("linger", [&](SessionContext& ctx) {
+    running = true;
+    while (!ctx.stopToken().stop_requested() && !watchdog) {
+      std::this_thread::sleep_for(milliseconds(2));
+    }
+  });
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  Initiator::Plan plan;
+  plan.app = "linger";
+  plan.members.push_back(Initiator::member(directory, "m0", {}));
+  ASSERT_TRUE(initiator.establish(plan).ok);
+  for (int i = 0; i < 200 && !running; ++i) {
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+  ASSERT_TRUE(running);
+
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    dapplets[0]->stop();
+    stopped.set_value();
+  });
+  const bool inTime = done.wait_for(seconds(5)) == std::future_status::ready;
+  watchdog = true;
+  stopper.join();
+  EXPECT_TRUE(inTime) << "stop() waited for a role whose session was live";
   init.stop();
 }
 

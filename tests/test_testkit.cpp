@@ -29,12 +29,14 @@ using testkit::VirtualClock;
 // ---------------------------------------------------------------------------
 
 TEST(VirtualClock, ManualAdvanceMovesTimeAndFiresAlarms) {
+  // The clock is declared after what its alarms touch, so it is destroyed
+  // first.
+  std::atomic<int> fired{0};
   VirtualClock::Options opts;
   opts.autoAdvance = false;
   VirtualClock clock(opts);
   const TimePoint start = clock.now();
 
-  std::atomic<int> fired{0};
   clock.after(milliseconds(10), [&] { fired = 1; });
   clock.after(milliseconds(30), [&] { fired = 2; });
 
@@ -93,11 +95,13 @@ TEST(VirtualClock, UnannouncedWorkerScopeThrows) {
 }
 
 TEST(VirtualClock, RoutedNotifyWakesClockedWaitBeforeDeadline) {
-  VirtualClock clock;
   std::mutex m;
   std::condition_variable cv;
   bool ready = false;
   std::atomic<bool> satisfied{false};
+  // Declared after what its alarm touches: the clock is destroyed first, so
+  // its scheduler thread cannot still be notifying `cv` as `cv` goes.
+  VirtualClock clock;
 
   // Announce first: the alarm below must not fire before the worker parks,
   // and the worker's 5-minute deadline must not be jumped to before the
