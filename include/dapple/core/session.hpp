@@ -209,11 +209,11 @@ class Initiator {
     std::vector<Edge> edges;
     Value params;                 ///< session-wide parameters
     Duration phaseTimeout = seconds(10);
-    /// Setup retry policy: INVITE and WIRE are re-sent to unresponsive
-    /// members up to `setupAttempts` times, waiting a jittered exponential
-    /// backoff (`retryBase`, `2*retryBase`, ...) between attempts, all
-    /// bounded by `phaseTimeout`.  One attempt = no retries.  START is sent
-    /// once and flushed within `phaseTimeout`.
+    /// Setup retry policy: INVITE, and WIRE with the START behind it, are
+    /// re-sent to unresponsive members up to `setupAttempts` times, waiting
+    /// a jittered exponential backoff (`retryBase`, `2*retryBase`, ...)
+    /// between attempts, each phase bounded by `phaseTimeout`.  One attempt
+    /// = no retries.  The STARTs are then flushed within `phaseTimeout`.
     std::size_t setupAttempts = 4;
     Duration retryBase = milliseconds(200);
   };
@@ -233,8 +233,13 @@ class Initiator {
                            std::vector<std::string> inboxes,
                            Value params = Value(ValueMap{}));
 
-  /// Runs INVITE -> WIRE -> START.  Blocking; on any rejection or timeout
-  /// the accepted members are sent ABORT-style unlinks and `ok` is false.
+  /// Runs the INVITE round, then the WIRE round with each member's START
+  /// sent right behind its WIRE, so roles start one INVITE round trip and
+  /// one one-way delay after the call.  Blocking; returns once every member
+  /// has its START.  On any rejection or timeout every member is sent
+  /// UNLINK, which also stops roles already started, and `ok` is false.
+  /// Throws SessionError, having sent nothing, when an edge names a
+  /// non-member or an inbox its target did not declare.
   Result establish(const Plan& plan);
 
   /// Waits until every member of `sessionId` reported DONE — or was evicted
@@ -268,7 +273,10 @@ class Initiator {
 
   /// Grows a live session: invites `member`, wires `newEdges` (which may
   /// reference existing members on either end), and sends the newcomer
-  /// START.  Returns false with no change on rejection.
+  /// START once every WIRE is answered.  Returns false with no change on
+  /// rejection; throws SessionError, having sent nothing, when an edge names
+  /// neither a member nor the newcomer, or an inbox its target did not
+  /// declare.
   bool addMember(const std::string& sessionId, const MemberPlan& member,
                  const std::vector<Edge>& newEdges, Duration timeout);
 

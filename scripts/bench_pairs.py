@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Compare two source trees on one benchmark workload in alternating pairs.
+"""Compare two source trees on benchmark workloads in alternating pairs.
 
 Usage:
-    scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B
-                           [--seconds 20]
+    scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W[,W...]
+                           --seeds A-B [--seconds 20]
 
-Each tree is a checkout of this repository.  For every seed in A..B the
-script runs the workload once in each tree through that tree's own
-`perfbench/run.py` (which builds the tree's benchmark on first use), the
-parent first on even pairs and the change first on odd ones, so slow drift
-on the host falls on both sides alike.
+Each tree is a checkout of this repository.  For each workload in turn and
+every seed in A..B the script runs the workload once in each tree through
+that tree's own `perfbench/run.py` (which builds the tree's benchmark on
+first use), the parent first on even pairs and the change first on odd
+ones, so slow drift on the host falls on both sides alike.
 
-The end-to-end metrics and their directions are read from CHANGE_DIR's
-BENCHMARK.json (never written).  For each metric the script prints the
-parent's and the change's median and interquartile range, the change of the
-median in percent (positive = better in the metric's direction), how many
-pairs the change won, and whether the medians differ by more than the
-parent's IQR.  It also prints the failed and attempted operations of each
-side.
+The end-to-end metrics, their directions and their bounds are read from
+CHANGE_DIR's BENCHMARK.json (never written).  For each workload and metric
+the script prints the parent's and the change's median and interquartile
+range, the change of the median in percent (positive = better in the
+metric's direction) and how many pairs the change won.  `verdict` reads
+"gain" only when the change won at least 9 of every 10 pairs and its median
+is better than the parent's by more than the parent's IQR.  `bound` reads
+"WORSE" when the change's median is worse than the parent's by more than the
+metric's bound (a fraction of the parent's median), "unresolved" when
+otherwise the parent's own IQR is wider than that bound, and "ok" else.  It
+also prints the failed and attempted operations of each side.
 
 Exits 1 when a run prints no valid result, reports `correct: false`, or
 lacks a declared metric; 2 on bad arguments; 0 otherwise.
@@ -70,25 +74,15 @@ def quartiles(values):
     return q[0], q[2]
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent_dir")
-    parser.add_argument("change_dir")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=parse_seeds,
-                        help="inclusive range, e.g. 3101-3110")
-    parser.add_argument("--seconds", type=float, default=20)
-    args = parser.parse_args()
-
-    with open(os.path.join(args.change_dir, "BENCHMARK.json")) as f:
-        declared = json.load(f)["end_to_end"]
+def run_pairs(args, workload, declared):
+    """Runs the alternating pairs of `workload`; returns (runs, errors)."""
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     runs = {"parent": [], "change": []}
     bad = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result, error = run_once(sides[side], args.workload, seed,
+            result, error = run_once(sides[side], workload, seed,
                                      args.seconds)
             if error is None and result.get("correct") is not True:
                 error = "correct is not true"
@@ -98,21 +92,25 @@ def main():
                 if missing:
                     error = "missing " + ", ".join(missing)
             if error is not None:
-                bad.append(f"{side} seed {seed}: {error}")
+                bad.append(f"{workload} {side} seed {seed}: {error}")
                 result = None
             runs[side].append(result)
-            print(f"pair {i + 1}/{len(args.seeds)} seed {seed} {side}: "
-                  + ("FAILED" if result is None else "ok"),
+            print(f"{workload} pair {i + 1}/{len(args.seeds)} seed {seed} "
+                  f"{side}: " + ("FAILED" if result is None else "ok"),
                   file=sys.stderr, flush=True)
+    return runs, bad
 
+
+def report(args, workload, declared, runs):
+    """Prints the comparison table of `workload` from its `runs`."""
     pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"])
              if p is not None and c is not None]
-    print(f"{args.workload}: {len(pairs)} complete pairs of "
+    print(f"{workload}: {len(pairs)} complete pairs of "
           f"{len(args.seeds)}, seeds {args.seeds[0]}-{args.seeds[-1]}, "
           f"{args.seconds:g} s each")
     print(f"{'metric':<12} {'parent median [IQR]':>34} "
           f"{'change median [IQR]':>34} {'change':>8} {'won':>7} "
-          f"{'> IQR':>6}")
+          f"{'verdict':>7} {'bound':>10}")
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         if not pairs:
@@ -121,17 +119,46 @@ def main():
         c = [r["metrics"][name]["value"] for _, r in pairs]
         pm, cm = statistics.median(p), statistics.median(c)
         (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
-        gain = (pm - cm) / pm if lower else (cm - pm) / pm
+        better = (pm - cm) if lower else (cm - pm)  # > 0: the change is better
+        gain = better / pm
         won = sum(1 for a, b in zip(p, c) if (b < a if lower else b > a))
-        beyond = "yes" if abs(cm - pm) > p3 - p1 else "no"
+        verdict = ("gain" if 10 * won >= 9 * len(pairs) and better > p3 - p1
+                   else "-")
+        if -better > metric["bound"] * pm:
+            bound = "WORSE"
+        elif p3 - p1 > metric["bound"] * pm:
+            bound = "unresolved"
+        else:
+            bound = "ok"
         ptext = f"{pm:.6g} [{p1:.6g}-{p3:.6g}]"
         ctext = f"{cm:.6g} [{c1:.6g}-{c3:.6g}]"
         print(f"{name:<12} {ptext:>34} {ctext:>34} {100 * gain:>+7.2f}% "
-              f"{won:>3}/{len(pairs):<3} {beyond:>6}")
+              f"{won:>3}/{len(pairs):<3} {verdict:>7} {bound:>10}")
     for side in ("parent", "change"):
         done = [r for r in runs[side] if r is not None]
         print(f"{side}: {sum(r['failed'] for r in done)} failed of "
               f"{sum(r['attempted'] for r in done)} attempted operations")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--workload", required=True,
+                        type=lambda text: text.split(","),
+                        help="one name or a comma-separated list")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="inclusive range, e.g. 3101-3110")
+    parser.add_argument("--seconds", type=float, default=20)
+    args = parser.parse_args()
+
+    with open(os.path.join(args.change_dir, "BENCHMARK.json")) as f:
+        declared = json.load(f)["end_to_end"]
+    bad = []
+    for workload in args.workload:
+        runs, errors = run_pairs(args, workload, declared)
+        bad += errors
+        report(args, workload, declared, runs)
     for line in bad:
         print("error: " + line)
     return 1 if bad else 0

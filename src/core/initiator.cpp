@@ -44,7 +44,8 @@ struct Initiator::Impl : ServiceCore {
   // to run; the initiator's name + node id keep them unique on the wire.
   std::atomic<std::uint64_t> sessionCounter{0};
 
-  // Setup-phase round latencies (send -> all replies / flush), per session.
+  // Setup-phase latencies, per session: INVITE and WIRE from the first send
+  // to the last reply; START the flush left after the WIRE round.
   obs::Histogram* mInviteRoundUs;
   obs::Histogram* mWireRoundUs;
   obs::Histogram* mStartRoundUs;
@@ -96,8 +97,8 @@ struct Initiator::Impl : ServiceCore {
     std::map<std::string, std::string> watchKeys;
     std::map<std::string, Value> doneResults;
     std::map<std::string, std::string> down;  // evicted member -> reason
-    /// Set once START went out; until then failure hooks and REJOINs leave
-    /// the record to establish().
+    /// Set once every member has its START; until then failure hooks and
+    /// REJOINs leave the record to establish().
     bool established = false;
 
     bool inviteAnswered(const std::string& member) const {
@@ -218,14 +219,14 @@ struct Initiator::Impl : ServiceCore {
     }
   }
 
-  /// One setup phase of establish() (INVITE or WIRE): each attempt sends
-  /// `makeMsg(member)` to every member that has neither `answered` nor been
-  /// refused, then waits a jittered backoff for the rest; all attempts share
-  /// one `phaseTimeout`.  The caller holds `lock` on `mutex`.
-  template <typename Answered, typename MakeMsg>
+  /// One setup phase of establish() (INVITE or WIRE): each attempt calls
+  /// `send(channel, member)` for every member that has neither `answered`
+  /// nor been refused, then waits a jittered backoff for the rest; all
+  /// attempts share one `phaseTimeout`.  The caller holds `lock` on `mutex`.
+  template <typename Answered, typename Send>
   void setupPhase(std::unique_lock<std::mutex>& lock, SessRec& rec,
                   const Plan& plan, const char* phase, obs::Histogram* round,
-                  Answered answered, MakeMsg makeMsg) {
+                  Answered answered, Send send) {
     const auto settled = [&](const MemberPlan& m) {
       return answered(m) || rec.rejections.count(m.name) != 0;
     };
@@ -238,9 +239,7 @@ struct Initiator::Impl : ServiceCore {
     for (std::size_t attempt = 0; attempt < attempts && !allSettled();
          ++attempt) {
       for (const MemberPlan& member : plan.members) {
-        if (!settled(member)) {
-          sendOn(*rec.memberOutbox.at(member.name), makeMsg(member));
-        }
+        if (!settled(member)) send(*rec.memberOutbox.at(member.name), member);
       }
       const TimePoint attemptDeadline =
           attempt + 1 == attempts
@@ -270,6 +269,27 @@ struct Initiator::Impl : ServiceCore {
     invite.params = member.params;
     if (monitor != nullptr) invite.livenessRef = monitor->ref();
     return invite;
+  }
+
+  /// Throws SessionError unless every edge runs from one of `members` to an
+  /// inbox its target declared.  Called before anything is sent, so a
+  /// malformed plan links no member.
+  static void checkEdges(const std::vector<MemberPlan>& members,
+                         const std::vector<Edge>& edges) {
+    const auto find = [&](const std::string& name) {
+      return std::find_if(members.begin(), members.end(),
+                          [&](const MemberPlan& m) { return m.name == name; });
+    };
+    for (const Edge& edge : edges) {
+      const auto to = find(edge.toMember);
+      if (find(edge.fromMember) == members.end() || to == members.end() ||
+          std::count(to->inboxes.begin(), to->inboxes.end(), edge.toInbox) ==
+              0) {
+        throw SessionError("edge " + edge.fromMember + "." + edge.fromOutbox +
+                           " -> " + edge.toMember + "." + edge.toInbox +
+                           " names a non-member or an undeclared inbox");
+      }
+    }
   }
 
   /// Groups `edges` into per-member WireMsg bindings using collected refs.
@@ -666,6 +686,7 @@ Initiator::MemberPlan Initiator::member(const Directory& directory,
 Initiator::Result Initiator::establish(const Plan& plan) {
   Impl& im = *impl_;
   Dapplet& d = im.d;
+  Impl::checkEdges(plan.members, plan.edges);
   Result result;
   result.sessionId =
       d.name() + "-" + std::to_string(im.sessionCounter.fetch_add(1)) + "-" +
@@ -702,8 +723,8 @@ Initiator::Result Initiator::establish(const Plan& plan) {
   im.setupPhase(
       lock, *rec, plan, "INVITE", im.mInviteRoundUs,
       [&](const MemberPlan& m) { return rec->memberRefs.count(m.name) != 0; },
-      [&](const MemberPlan& m) {
-        return im.makeInvite(result.sessionId, plan.app, m);
+      [&](Outbox& box, const MemberPlan& m) {
+        im.sendOn(box, im.makeInvite(result.sessionId, plan.app, m));
       });
   for (const MemberPlan& member : plan.members) {
     if (!rec->inviteAnswered(member.name)) {
@@ -715,17 +736,29 @@ Initiator::Result Initiator::establish(const Plan& plan) {
     return rollBack("session aborted during setup");
   }
 
-  // ---- Phase 2: WIRE ------------------------------------------------------
+  // ---- Phase 2: WIRE + START ----------------------------------------------
+  // START rides each member's FIFO channel right behind its WIRE, so the
+  // agent wires the role's outboxes before it runs the role, and roles start
+  // without waiting for the WIRE round.  A retry re-sends both: the agent's
+  // `started` latch drops a second START and re-adding a target is a no-op.
+  // The WIRE replies are still awaited, so a refused or unanswered WIRE
+  // rolls the session back, and the rollback's UNLINK stops started roles.
   const auto bindingPlan = im.planBindings(*rec, plan.edges);
+  StartMsg start;
+  start.sessionId = result.sessionId;
+  for (const MemberPlan& member : plan.members) {
+    start.peers.push_back(member.name);
+  }
+  start.params = plan.params;
   im.setupPhase(
       lock, *rec, plan, "WIRE", im.mWireRoundUs,
       [&](const MemberPlan& m) { return rec->wired.count(m.name) != 0; },
-      [&](const MemberPlan& m) {
+      [&](Outbox& box, const MemberPlan& m) {
         WireMsg wire;
         wire.sessionId = result.sessionId;
         const auto it = bindingPlan.find(m.name);
         if (it != bindingPlan.end()) wire.bindings = it->second;
-        return wire;
+        if (im.sendOn(box, wire)) im.sendOn(box, start);
       });
   result.rejections = rec->rejections;
   if (rec->wired.size() < plan.members.size() && result.rejections.empty()) {
@@ -735,18 +768,10 @@ Initiator::Result Initiator::establish(const Plan& plan) {
     return rollBack("session aborted during wiring");
   }
 
-  // ---- Phase 3: START -----------------------------------------------------
-  // START has no reply; confirmation is transport-level.  It is sent once
-  // (the reliable layer retransmits), and the flush holds the liveness
-  // watch back until the members have it.
-  StartMsg start;
-  start.sessionId = result.sessionId;
-  for (const MemberPlan& member : plan.members) {
-    start.peers.push_back(member.name);
-  }
-  start.params = plan.params;
+  // START has no reply; confirmation is transport-level.  The flush holds
+  // the liveness watch back until every member has it; the roles are
+  // already running meanwhile.
   const TimePoint startStart = im.now();
-  for (auto& [name, box] : rec->memberOutbox) im.sendOn(*box, start);
   lock.unlock();
   d.flush(plan.phaseTimeout);
   lock.lock();
@@ -840,6 +865,9 @@ bool Initiator::addMember(const std::string& sessionId,
   const TimePoint deadline = im.now() + timeout;
   std::unique_lock lock(im.mutex);
   const auto rec = im.find(sessionId);
+  auto grown = rec->members;
+  grown.push_back(member);
+  Impl::checkEdges(grown, newEdges);
 
   Outbox& box = im.channel(member.control);
   rec->rejections.erase(member.name);  // a refusal from an earlier attempt
@@ -887,6 +915,9 @@ bool Initiator::addMember(const std::string& sessionId,
   }
   rec->edges.insert(rec->edges.end(), newEdges.begin(), newEdges.end());
 
+  // Unlike establish(), START waits for every WIRE reply: the session is
+  // live, and its members must never get traffic from a newcomer whose
+  // growth may still be rolled back.
   StartMsg start;
   start.sessionId = sessionId;
   for (const MemberPlan& m : rec->members) start.peers.push_back(m.name);

@@ -6,12 +6,15 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "dapple/core/session.hpp"
 #include "dapple/core/session_msgs.hpp"
 #include "dapple/net/sim.hpp"
 #include "dapple/serial/data_message.hpp"
+#include "dapple/testkit/seed.hpp"
+#include "dapple/testkit/virtual_clock.hpp"
 
 namespace dapple {
 namespace {
@@ -507,6 +510,103 @@ TEST_F(SessionRig, FailedSetupsUnlinkMembersThatNeverAnswered) {
   init.stop();
 }
 
+TEST_F(SessionRig, RefusedWireDuringSetupStopsStartedRoles) {
+  // START rides right behind WIRE, so m0's role is running by the time the
+  // scripted member's refusal arrives: the rollback's UNLINK must stop it.
+  makeMembers(1);
+  std::atomic<int> started{0};
+  std::atomic<int> ended{0};
+  agents[0]->registerApp("linger", [&](SessionContext& ctx) {
+    ++started;
+    while (!ctx.stopToken().stop_requested()) {
+      std::this_thread::sleep_for(milliseconds(2));
+    }
+    ++ended;
+  });
+  ScriptedMember scripted(net, false);
+  directory.put("scripted", scripted.ref);
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  Initiator::Plan plan;
+  plan.app = "linger";
+  plan.members.push_back(Initiator::member(directory, "m0", {}));
+  plan.members.push_back(Initiator::member(directory, "scripted", {}));
+  const auto result = initiator.establish(plan);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(1u, result.rejections.count("scripted"));
+  EXPECT_TRUE(scripted.awaitUnlinks(1));
+  for (int i = 0; i < 200 && !agents[0]->activeSessions().empty(); ++i) {
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+  EXPECT_TRUE(agents[0]->activeSessions().empty());
+  EXPECT_EQ(1, started.load());
+  EXPECT_EQ(1, ended.load());
+  init.stop();
+}
+
+TEST_F(SessionRig, MalformedEdgeLinksNoMember) {
+  // An edge to an undeclared inbox or from a non-member fails establish
+  // before any INVITE: no member links the session or claims its keys.
+  makeMembers(2);
+  registerEchoApp();
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  Initiator::Plan plan;
+  plan.app = "echo";
+  auto writer = Initiator::member(directory, "m0", {"in"});
+  writer.writeKeys = {"doc"};
+  plan.members.push_back(writer);
+  plan.members.push_back(Initiator::member(directory, "m1", {"in"}));
+  plan.edges.push_back({"m1", "out", "m0", "in"});
+
+  Initiator::Plan undeclared = plan;
+  undeclared.edges.push_back({"m0", "out", "m1", "nope"});
+  EXPECT_THROW(initiator.establish(undeclared), SessionError);
+  Initiator::Plan stranger = plan;
+  stranger.edges.push_back({"ghost", "out", "m0", "in"});
+  EXPECT_THROW(initiator.establish(stranger), SessionError);
+  EXPECT_TRUE(agents[0]->activeSessions().empty());
+  EXPECT_TRUE(agents[1]->activeSessions().empty());
+
+  plan.edges.push_back({"m0", "out", "m1", "in"});
+  auto result = initiator.establish(plan);
+  ASSERT_TRUE(result.ok) << "m0: " << result.rejections["m0"];
+  EXPECT_EQ(2u, initiator.awaitCompletion(result.sessionId, seconds(5)).size());
+  initiator.terminate(result.sessionId);
+  init.stop();
+}
+
+TEST_F(SessionRig, MalformedGrowthEdgeLinksNoMember) {
+  // addMember checks its edges against the members and the newcomer before
+  // the INVITE: the newcomer is not linked, and the session still completes.
+  makeMembers(2);
+  for (auto& agent : agents) {
+    agent->registerApp("solo", [](SessionContext& ctx) {
+      ctx.setResult(Value(ctx.self()));
+    });
+  }
+  Dapplet init(net, "init");
+  Initiator initiator(init);
+  Initiator::Plan plan;
+  plan.app = "solo";
+  plan.members.push_back(Initiator::member(directory, "m0", {"in"}));
+  const auto result = initiator.establish(plan);
+  ASSERT_TRUE(result.ok);
+
+  const auto newcomer = Initiator::member(directory, "m1", {});
+  EXPECT_THROW(initiator.addMember(result.sessionId, newcomer,
+                                   {{"m1", "out", "m0", "nope"}}, seconds(2)),
+               SessionError);
+  EXPECT_THROW(initiator.addMember(result.sessionId, newcomer,
+                                   {{"m1", "out", "m9", "in"}}, seconds(2)),
+               SessionError);
+  EXPECT_TRUE(agents[1]->activeSessions().empty());
+  const auto results = initiator.awaitCompletion(result.sessionId, seconds(2));
+  EXPECT_EQ(1u, results.size());
+  initiator.terminate(result.sessionId);
+  init.stop();
+}
+
 TEST_F(SessionRig, SessionsShrink) {
   makeMembers(2);
   std::atomic<int> beats{0};
@@ -626,6 +726,72 @@ TEST_F(SessionRig, RoleErrorsAreReportedInDoneResult) {
             std::string::npos);
   initiator.terminate(result.sessionId);
   init.stop();
+}
+
+TEST(SessionSetup, RolesStartOneWayAfterTheInviteRound) {
+  // START rides behind WIRE on each member's channel, so with a fixed
+  // one-way delay D every role starts about 3D after establish is called
+  // (the INVITE round trip, then START's one way), not 5D (the WIRE round
+  // trip as well).
+  const std::uint64_t seed = testkit::testSeed(794);
+  DAPPLE_SEED_TRACE(seed);
+  constexpr microseconds kDelay = milliseconds(20);
+  testkit::VirtualClock clock;
+  // Time stands still while the test thread runs, so the start times are
+  // protocol time.
+  clock.announceWorker();
+  const ClockSource::WorkerScope mainIsWorker(clock);
+  SimNetwork::Options opts;
+  opts.clock = &clock;
+  SimNetwork net(seed, opts);
+  net.setDefaultLink(LinkParams{kDelay, microseconds(0), 0.0, 0.0});
+  DappletConfig cfg;
+  cfg.clock = &clock;
+  cfg.host = 1;
+  Dapplet director(net, "director", cfg);
+  Directory directory;
+  std::mutex mutex;
+  std::vector<TimePoint> starts;  // guarded by `mutex`
+  std::vector<std::unique_ptr<Dapplet>> members;
+  std::vector<std::unique_ptr<SessionAgent>> agents;
+  Initiator::Plan plan;
+  plan.app = "timed";
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    cfg.host = 2 + i;
+    const std::string name = "m" + std::to_string(i);
+    members.push_back(std::make_unique<Dapplet>(net, name, cfg));
+    agents.push_back(std::make_unique<SessionAgent>(*members.back()));
+    agents.back()->registerApp("timed", [&](SessionContext&) {
+      std::scoped_lock lock(mutex);
+      starts.push_back(clock.now());
+    });
+    directory.put(name, agents.back()->controlRef());
+    plan.members.push_back(Initiator::member(directory, name, {"in"}));
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    plan.edges.push_back({"m" + std::to_string(i), "out",
+                          "m" + std::to_string((i + 1) % 4), "in"});
+  }
+  Initiator initiator(director);
+
+  const TimePoint before = clock.now();
+  const auto result = initiator.establish(plan);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(4u, initiator.awaitCompletion(result.sessionId, seconds(5)).size());
+  initiator.terminate(result.sessionId);
+  {
+    std::scoped_lock lock(mutex);
+    ASSERT_EQ(4u, starts.size());
+    for (const TimePoint start : starts) {
+      EXPECT_LE(start - before, 4 * kDelay)
+          << "a role started "
+          << std::chrono::duration_cast<microseconds>(start - before).count()
+          << " us after establish was called";
+    }
+  }
+  agents.clear();
+  for (auto& m : members) m->stop();
+  director.stop();
 }
 
 }  // namespace
