@@ -176,6 +176,8 @@ struct CellAvg {
   double overhead = 0;
   double retransmits = 0;
   double fastRetransmits = 0;
+  double windowCuts = 0;
+  double windowUndos = 0;
   double rttSamples = 0;
   double srttUs = 0;
   std::uint64_t dataBytes = 0;
@@ -188,6 +190,8 @@ CellAvg average(const std::vector<CellResult>& runs, int messages) {
     avg.elapsedMs += r.elapsedMs;
     avg.retransmits += static_cast<double>(r.stats.retransmits);
     avg.fastRetransmits += static_cast<double>(r.stats.fastRetransmits);
+    avg.windowCuts += static_cast<double>(r.stats.windowCuts);
+    avg.windowUndos += static_cast<double>(r.stats.windowUndos);
     avg.rttSamples += static_cast<double>(r.stats.rttSamples);
     avg.srttUs += static_cast<double>(usOf(r.peer.srtt));
     avg.dataBytes += r.stats.dataBytes;
@@ -197,6 +201,8 @@ CellAvg average(const std::vector<CellResult>& runs, int messages) {
   avg.elapsedMs /= n;
   avg.retransmits /= n;
   avg.fastRetransmits /= n;
+  avg.windowCuts /= n;
+  avg.windowUndos /= n;
   avg.rttSamples /= n;
   avg.srttUs /= n;
   avg.goodput = avg.elapsedMs > 0 ? messages / (avg.elapsedMs / 1000.0) : 0;
@@ -257,6 +263,8 @@ int main(int argc, char** argv) {
             .num("retx_overhead_pct", r->overhead * 100.0)
             .num("retransmits", r->retransmits)
             .num("fast_retransmits", r->fastRetransmits)
+            .num("window_cuts", r->windowCuts)
+            .num("window_undos", r->windowUndos)
             .num("rtt_samples", r->rttSamples)
             .num("srtt_us", r->srttUs);
       }

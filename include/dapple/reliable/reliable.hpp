@@ -40,7 +40,10 @@ namespace dapple {
 /// estimated per peer (Jacobson SRTT/RTTVAR, Karn's rule) and each stream
 /// runs a slow-start + AIMD congestion window: a loss halves it, once per
 /// flight, and a timer expiry with no ack for the stream since the lost
-/// frame was last sent restarts it at one frame.  The *fixed-RTO,
+/// frame was last sent restarts it at one frame.  A cut is undone when
+/// acks show that every resend since was spurious: each covers a frame
+/// resent once, sooner than half the peer's smallest RTT sample after the
+/// resend, so it answers the original transmission.  The *fixed-RTO,
 /// unwindowed* behaviour of the original layer is still expressible through
 /// this struct — pin `minRto == rto == maxRto` and raise
 /// `initialCwnd`/`maxCwnd` so far past the offered load that halving never
@@ -231,6 +234,10 @@ class ReliableEndpoint {
     /// The cuts that restarted the window at one frame: a timer expiry with
     /// no ack for the stream since the lost frame was last transmitted.
     std::uint64_t windowCollapses = 0;
+    /// Cuts taken back: every resend made since the cut was acked in under
+    /// half the peer's smallest clean RTT sample, so each ack answered an
+    /// original transmission and the cut answered no loss.
+    std::uint64_t windowUndos = 0;
     /// Payload bytes of first transmissions / of resends / handed to the
     /// DeliverFn.  retransmitBytes / dataBytes is the retransmit-efficiency
     /// ratio the fuzz oracle and bench_transport bound.
@@ -267,6 +274,9 @@ class ReliableEndpoint {
     bool hasRtt = false;  ///< at least one clean (Karn-valid) sample landed
     Duration srtt{};
     Duration rttvar{};
+    /// Smallest clean sample.  An ack that covers a resent frame sooner
+    /// than half of this after the resend answers the original.
+    Duration minRtt{};
     Duration rto{};  ///< current effective RTO (initial rto until hasRtt)
   };
   PeerProbe probePeer(const NodeAddress& peer) const;

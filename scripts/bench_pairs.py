@@ -23,8 +23,14 @@ metric's bound (a fraction of the parent's median), "unresolved" when
 otherwise the parent's own IQR is wider than that bound, and "ok" else.  It
 also prints the failed and attempted operations of each side.
 
+Before each run the script looks for another running benchmark binary
+(`.bench_build/perfbench`, not started by this script): a second benchmark
+on the host slows the runs and moves even their virtual-time metrics, so
+the script refuses to measure beside one.
+
 Exits 1 when a run prints no valid result, reports `correct: false`, or
-lacks a declared metric; 2 on bad arguments; 0 otherwise.
+lacks a declared metric; 2 on bad arguments; 3 when another benchmark is
+running (named on stderr); 0 otherwise.
 """
 
 import argparse
@@ -45,6 +51,26 @@ def parse_seeds(text):
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty seed range '{text}'")
     return list(range(lo, hi + 1))
+
+
+def other_benchmark():
+    """Returns "pid: command line" of a running `.bench_build/perfbench`,
+    or None.  This script waits for each of its own runs, so between runs
+    any such process was started by someone else."""
+    try:
+        pids = [int(entry) for entry in os.listdir("/proc") if entry.isdigit()]
+    except OSError:
+        return None
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                argv = [a.decode(errors="replace")
+                        for a in f.read().split(b"\0") if a]
+        except OSError:
+            continue  # gone, or not ours to read
+        if argv and argv[0].endswith(".bench_build/perfbench"):
+            return f"{pid}: {' '.join(argv)}"
+    return None
 
 
 def run_once(tree, workload, seed, seconds):
@@ -82,6 +108,11 @@ def run_pairs(args, workload, declared):
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
+            other = other_benchmark()
+            if other is not None:
+                print(f"error: another benchmark is running ({other}); "
+                      "measure on an otherwise idle host", file=sys.stderr)
+                sys.exit(3)
             result, error = run_once(sides[side], workload, seed,
                                      args.seconds)
             if error is None and result.get("correct") is not True:

@@ -7,7 +7,9 @@ Usage:
 
 Runs the `bench_transport` binary (adaptive sender vs the fixed-RTO
 baseline, virtual-clock simulation; see bench/bench_transport.cpp), prints
-the matrix as a table, and enforces the E10 acceptance invariants:
+the matrix as a table (goodput, efficiency gain, and each sender's window
+cuts and undos per run, seed-averaged), and enforces the E10 acceptance
+invariants:
 
   * at 0% loss the adaptive sender's goodput is competitive with the
     unwindowed fixed-RTO baseline (ratio >= 0.90 full, >= 0.50 --quick —
@@ -81,19 +83,27 @@ def main():
         cells.setdefault((loss, delay), {})[kind] = metrics
 
     print(f"\n{'cell':>18} {'fixed goodput/s':>16} {'adaptive':>10} "
-          f"{'goodput ratio':>14} {'eff gain':>9}")
+          f"{'goodput ratio':>14} {'eff gain':>9} "
+          f"{'fixed cuts/undos':>17} {'adaptive cuts/undos':>20}")
     failures = []
     min_goodput_ratio = 0.50 if args.quick else 0.90
     min_gain = 1.5 if args.quick else 2.0
+    def cuts(row):
+        return (f"{row.get('window_cuts', float('nan')):.1f}/"
+                f"{row.get('window_undos', float('nan')):.1f}")
+
     for (loss, delay), kinds in sorted(cells.items()):
         summary = kinds.get("summary", {})
         ratio = summary.get("goodput_vs_fixed_x")
         gain = summary.get("efficiency_gain_x")
+        fixed = kinds.get("fixed", {})
+        adaptive = kinds.get("adaptive", {})
         print(f"{f'loss={loss:g}% d={delay}ms':>18} "
-              f"{kinds.get('fixed', {}).get('goodput_msg_rate', 0):>16.0f} "
-              f"{kinds.get('adaptive', {}).get('goodput_msg_rate', 0):>10.0f} "
+              f"{fixed.get('goodput_msg_rate', 0):>16.0f} "
+              f"{adaptive.get('goodput_msg_rate', 0):>10.0f} "
               f"{ratio if ratio is not None else float('nan'):>14.3f} "
-              f"{gain if gain is not None else float('nan'):>8.2f}x")
+              f"{gain if gain is not None else float('nan'):>8.2f}x "
+              f"{cuts(fixed):>17} {cuts(adaptive):>20}")
         if loss == 0 and ratio is not None and ratio < min_goodput_ratio:
             failures.append(
                 f"goodput ratio {ratio:.3f} < {min_goodput_ratio} at "

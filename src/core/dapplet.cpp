@@ -331,6 +331,7 @@ obs::MetricsSnapshot Dapplet::metrics() const {
   snap.counters["reliable.window_deferred"] += rs.windowDeferred;
   snap.counters["reliable.window_cuts"] += rs.windowCuts;
   snap.counters["reliable.window_collapses"] += rs.windowCollapses;
+  snap.counters["reliable.window_undos"] += rs.windowUndos;
   snap.counters["reliable.data_bytes"] += rs.dataBytes;
   snap.counters["reliable.retransmit_bytes"] += rs.retransmitBytes;
   snap.counters["reliable.delivered_bytes"] += rs.deliveredBytes;

@@ -203,6 +203,9 @@ struct ReliableEndpoint::Impl {
     bool hasSample = false;
     Duration srtt{};
     Duration rttvar{};
+    /// Smallest clean sample: no ack can answer a resend sooner than about
+    /// this, which is what lets an ack prove a resend spurious.
+    Duration minRtt{};
     /// Karn's backoff retention: while no clean sample exists, new frames
     /// inherit the largest per-frame backoff reached so far.  Without this
     /// a path whose true RTT exceeds cfg.rto never collects a sample (every
@@ -222,6 +225,16 @@ struct ReliableEndpoint::Impl {
     double cwnd = 0;          ///< seeded from cfg.initialCwnd on creation
     double ssthresh = 0;      ///< slow start below, additive increase above
     std::uint64_t recoverSeq = 0;  ///< no second window cut until acks pass
+    /// The last cut, kept until acks show whether the resends made since
+    /// were spurious (DESIGN.md §11, "Undoing spurious cuts").
+    struct CutUndo {
+      bool possible = false;  ///< the cut may still be undone
+      double cwnd = 0;        ///< the values the cut replaced
+      double ssthresh = 0;
+      std::uint64_t recoverSeq = 0;
+      std::uint32_t unproven = 0;  ///< resends since, not yet acked in time
+    };
+    CutUndo undo;
     /// Ack clock: arrival of the last ack block for the current epoch.  A
     /// timer expiry restarts the window at one frame only when no block has
     /// arrived since the expiring frame was last transmitted.
@@ -237,6 +250,7 @@ struct ReliableEndpoint::Impl {
       Duration backoff;
       std::uint32_t dupEvidence = 0;  ///< ack blocks covering higher seqs
       bool retransmitted = false;     ///< Karn's rule: never RTT-sample
+      bool undoWatch = false;  ///< first resent since the last cut
     };
     std::map<std::uint64_t, Pending> pending;  // in flight (<= window)
     /// Frames admitted beyond the window: they hold their sequence number
@@ -327,10 +341,12 @@ struct ReliableEndpoint::Impl {
       p.hasSample = true;
       p.srtt = r;
       p.rttvar = r / 2;
+      p.minRtt = r;
     } else {
       const Duration err = r > p.srtt ? r - p.srtt : p.srtt - r;
       p.rttvar = (3 * p.rttvar + err) / 4;
       p.srtt = (7 * p.srtt + r) / 8;
+      p.minRtt = std::min(p.minRtt, r);
     }
     ++stats.rttSamples;
     if (mSrttUs != nullptr) {
@@ -354,8 +370,16 @@ struct ReliableEndpoint::Impl {
 
   /// One multiplicative decrease per flight: frames below recoverSeq were in
   /// flight when the window was last cut and do not cut it again.
-  void lossCutLocked(SendStream& ss, std::uint64_t seq, bool acksStopped) {
+  void lossCutLocked(const NodeAddress& peer, SendStream& ss,
+                     std::uint64_t seq, bool acksStopped) {
     if (seq < ss.recoverSeq) return;
+    // Keep what the cut replaces, in case acks show its resends spurious;
+    // with no clean RTT sample there is no threshold to show it by.
+    const auto pr = peerRtt.find(peer);
+    ss.undo = SendStream::CutUndo{
+        pr != peerRtt.end() && pr->second.hasSample, ss.cwnd, ss.ssthresh,
+        ss.recoverSeq, 0};
+    for (auto& [pendingSeq, p] : ss.pending) p.undoWatch = false;
     ss.ssthresh = std::max(ss.cwnd / 2, 2.0);
     // No ack since the lost frame left means the pipe drained: restart from
     // one frame (RFC 5681 §3.1).  A loss found while acks still flow —
@@ -365,6 +389,34 @@ struct ReliableEndpoint::Impl {
     ++stats.windowCuts;
     if (acksStopped) ++stats.windowCollapses;
     if (mCwnd != nullptr) mCwnd->set(static_cast<std::int64_t>(ss.cwnd));
+  }
+
+  /// Marks `p` sent again.  The undo of the last cut waits for every frame
+  /// first resent since then; a frame sent again twice rules it out.
+  void markResentLocked(SendStream& ss, SendStream::Pending& p) {
+    if (p.retransmitted) {
+      ss.undo.possible = false;
+    } else if (ss.undo.possible) {
+      p.undoWatch = true;
+      ++ss.undo.unproven;
+    }
+    p.retransmitted = true;
+  }
+
+  /// Every resend since the last cut was acked too soon to be answering
+  /// the resend: the cut answered no loss, so give back what it took.
+  void undoCutLocked(const StreamKey& key, SendStream& ss) {
+    ss.cwnd = std::max(ss.cwnd, ss.undo.cwnd);
+    ss.ssthresh = ss.undo.ssthresh;
+    ss.recoverSeq = ss.undo.recoverSeq;
+    ss.undo.possible = false;
+    ++stats.windowUndos;
+    if (mCwnd != nullptr) mCwnd->set(static_cast<std::int64_t>(ss.cwnd));
+    if (trace != nullptr) {
+      trace->emit("reliable", "window.undo", key.peer.toString(),
+                  static_cast<std::int64_t>(key.streamId),
+                  static_cast<std::int64_t>(ss.cwnd));
+    }
   }
 
   /// Builds one complete DATA frame: header tokens (every token up to and
@@ -573,14 +625,25 @@ struct ReliableEndpoint::Impl {
 
   /// Marks one pending frame acknowledged: ack-latency histogram plus the
   /// RTT sample (Karn's rule: only frames transmitted exactly once sample,
-  /// so a retransmission ambiguity never poisons the estimator).
-  void ackFrameLocked(const NodeAddress& src,
+  /// so a retransmission ambiguity never poisons the estimator).  A frame
+  /// resent since the last cut is evidence on that cut's undo instead.
+  void ackFrameLocked(const NodeAddress& src, SendStream& ss,
                       const SendStream::Pending& p, TimePoint now) {
     if (mAckLatencyUs != nullptr) {
       mAckLatencyUs->record(
           static_cast<std::uint64_t>(toMicros(now - p.enqueued)));
     }
-    if (!p.retransmitted) sampleRttLocked(src, now - p.lastSent);
+    if (!p.retransmitted) {
+      sampleRttLocked(src, now - p.lastSent);
+    } else if (p.undoWatch && ss.undo.possible) {
+      // No ack can answer a resend in under half the smallest RTT this
+      // path has shown, so such an ack answers the original transmission.
+      if (now - p.lastSent < peerRtt[src].minRtt / 2) {
+        --ss.undo.unproven;
+      } else {
+        ss.undo.possible = false;
+      }
+    }
   }
 
   void onAckBlocks(const NodeAddress& src,
@@ -601,7 +664,7 @@ struct ReliableEndpoint::Impl {
         // cumAck = receiver's nextExpected: everything below is delivered.
         const auto ackedEnd = ss.pending.lower_bound(b.cumAck);
         for (auto it2 = ss.pending.begin(); it2 != ackedEnd; ++it2) {
-          ackFrameLocked(src, it2->second, now);
+          ackFrameLocked(src, ss, it2->second, now);
           ++newlyAcked;
         }
         ss.pending.erase(ss.pending.begin(), ackedEnd);
@@ -612,13 +675,16 @@ struct ReliableEndpoint::Impl {
           evidenceAbove = std::max(evidenceAbove, sack);
           const auto it2 = ss.pending.find(sack);
           if (it2 == ss.pending.end()) continue;
-          ackFrameLocked(src, it2->second, now);
+          ackFrameLocked(src, ss, it2->second, now);
           ss.pending.erase(it2);
           ++newlyAcked;
         }
         if (newlyAcked > 0) {
           ackedAny = true;
           ackGrowLocked(ss, newlyAcked);
+          if (ss.undo.possible && ss.undo.unproven == 0) {
+            undoCutLocked(StreamKey{src, b.streamId}, ss);
+          }
         }
         // Fast retransmit: a frame the receiver is provably missing while
         // later frames keep landing is resent after fastRetransmitDups
@@ -630,8 +696,8 @@ struct ReliableEndpoint::Impl {
             if (p.retransmitted) continue;    // timer or fast path already did
             if (++p.dupEvidence < cfg.fastRetransmitDups) continue;
             if (now - p.enqueued > cfg.deliveryTimeout) continue;  // doomed
-            lossCutLocked(ss, seq, /*acksStopped=*/false);
-            p.retransmitted = true;
+            lossCutLocked(src, ss, seq, /*acksStopped=*/false);
+            markResentLocked(ss, p);
             p.backoff = rtoForLocked(src);
             p.nextResend = now + p.backoff;
             p.lastSent = now;
@@ -698,9 +764,9 @@ struct ReliableEndpoint::Impl {
         // ---- phase 2: timer-driven retransmissions ----------------------
         for (auto& [seq, pending] : ss.pending) {
           if (now < pending.nextResend) continue;
-          lossCutLocked(ss, seq,
+          lossCutLocked(key.peer, ss, seq,
                         /*acksStopped=*/ss.lastAckAt <= pending.lastSent);
-          pending.retransmitted = true;
+          markResentLocked(ss, pending);
           pending.backoff = std::min(pending.backoff * 2, cfg.maxRto);
           pending.nextResend = now + pending.backoff;
           PeerRtt& pr = peerRtt[key.peer];
@@ -887,6 +953,7 @@ void ReliableEndpoint::resetStream(const NodeAddress& dst,
     it->second.cwnd = static_cast<double>(impl_->cfg.initialCwnd);
     it->second.ssthresh = static_cast<double>(impl_->cfg.maxCwnd);
     it->second.recoverSeq = 0;
+    it->second.undo = Impl::SendStream::CutUndo{};
     it->second.lastAckAt = TimePoint{};
   }
 }
@@ -916,6 +983,7 @@ ReliableEndpoint::PeerProbe ReliableEndpoint::probePeer(
     probe.hasRtt = true;
     probe.srtt = it->second.srtt;
     probe.rttvar = it->second.rttvar;
+    probe.minRtt = it->second.minRtt;
   }
   return probe;
 }

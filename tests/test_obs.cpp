@@ -324,6 +324,7 @@ TEST(ObsWiring, WindowCutsAndCollapsesCountedOnce) {
   EXPECT_EQ(snap.counters.at("reliable.window_cuts"), stats.windowCuts);
   EXPECT_EQ(snap.counters.at("reliable.window_collapses"),
             stats.windowCollapses);
+  EXPECT_EQ(snap.counters.at("reliable.window_undos"), stats.windowUndos);
   a.stop();
   b.stop();
 }

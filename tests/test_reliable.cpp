@@ -466,6 +466,58 @@ struct VirtualDuo {
         b(net.openAt(2), cfg, nullptr, &clock),
         ticks(tickEvery(cfg.tickInterval, {&a, &b}, &clock)) {}
 };
+
+const LinkParams kTwentyMs{milliseconds(20), microseconds(0), 0.0, 0.0};
+const LinkParams kDark{milliseconds(20), microseconds(0), 1.0, 0.0};
+
+/// Only timers resend (fast retransmit is off), and the initial rto
+/// (100 ms) clears a 20 ms path's round trip, so its first frame samples.
+ReliableConfig timerOnlyConfig() {
+  ReliableConfig cfg;
+  cfg.tickInterval = milliseconds(2);
+  cfg.rto = milliseconds(100);
+  cfg.deliveryTimeout = seconds(10);
+  cfg.fastRetransmitDups = UINT32_MAX;
+  return cfg;
+}
+
+/// Sends four frames on stream 1 and loses the first, "0": its timer fires
+/// at 100 ms, long after the three frames behind it were acked (~44 ms).
+void sendFourLosingTheFirst(VirtualDuo& pair) {
+  pair.net.setHostLink(1, 2, kDark);
+  pair.a.send(pair.b.address(), 1, "0");
+  pair.net.setHostLink(1, 2, kTwentyMs);
+  for (int i = 1; i < 4; ++i) {
+    pair.a.send(pair.b.address(), 1, std::to_string(i));
+  }
+}
+
+/// Frames warmUp sends, one per round trip.  Six clean samples of a 20 ms
+/// path leave rttvar unsettled, so the rto (~62 ms) stays well clear of a
+/// round trip and a test's own frames are not resent by accident.
+constexpr int kWarm = 6;
+
+void warmUp(VirtualDuo& pair) {
+  for (int i = 0; i < kWarm; ++i) {
+    pair.a.send(pair.b.address(), 1, "warm-" + std::to_string(i));
+    ASSERT_TRUE(pair.a.flush(seconds(10)));
+  }
+}
+
+/// On a warmed-up 20 ms path, makes frame "A"'s timer fire just before its
+/// ack arrives.  A's own ack is lost; "B", sent behind A, brings the
+/// cumulative ack that covers A a quarter of the smallest RTT after A's
+/// timer resent it.  Returns once B has arrived, before A's timer fires.
+void timerJustBeforeAck(VirtualDuo& pair) {
+  const auto peer = pair.a.probePeer(pair.b.address());
+  ASSERT_TRUE(peer.hasRtt);
+  pair.net.setHostLink(2, 1, kDark);
+  pair.a.send(pair.b.address(), 1, "A");
+  pair.clock.sleepFor(peer.rto - peer.minRtt + peer.minRtt / 4);
+  pair.a.send(pair.b.address(), 1, "B");
+  pair.clock.sleepFor(milliseconds(20));  // B is in; A's ack was dropped
+  pair.net.setHostLink(2, 1, kTwentyMs);
+}
 }  // namespace
 
 TEST(ReliableAdaptive, SrttConvergesToPathRttAndStopsSpuriousRetransmits) {
@@ -619,26 +671,12 @@ TEST(ReliableAdaptive, TimerExpiryCollapsesWindowAndRecoveryRegrows) {
 }
 
 TEST(ReliableAdaptive, TimerExpiryWhileAcksFlowHalvesWindow) {
-  // Fast retransmit is off, so only the timer can repair the one dropped
-  // frame.  The three frames behind it are acked (~44 ms) long before its
-  // timer fires (100 ms): the stream's ack clock is still running, so the
-  // loss halves the window instead of restarting it at one frame.
-  ReliableConfig cfg;
-  cfg.tickInterval = milliseconds(2);
-  cfg.rto = milliseconds(100);
-  cfg.deliveryTimeout = seconds(10);
-  cfg.fastRetransmitDups = UINT32_MAX;
-  const LinkParams clean{milliseconds(20), microseconds(0), 0.0, 0.0};
-  VirtualDuo pair(62, cfg, clean);
+  // The stream's ack clock is still running when frame 0's timer fires, so
+  // the loss halves the window instead of restarting it at one frame.
+  VirtualDuo pair(62, timerOnlyConfig(), kTwentyMs);
   OrderedSink sink(pair.clock);
   pair.b.setDeliver(sink.fn());
-  pair.net.setHostLink(
-      1, 2, LinkParams{milliseconds(20), microseconds(0), 1.0, 0.0});
-  pair.a.send(pair.b.address(), 1, "0");
-  pair.net.setHostLink(1, 2, clean);
-  for (int i = 1; i < 4; ++i) {
-    pair.a.send(pair.b.address(), 1, std::to_string(i));
-  }
+  sendFourLosingTheFirst(pair);
   // Just after the timer resends frame 0, ~30 ms before that resend's ack.
   pair.clock.sleepFor(milliseconds(110));
   const auto probe = pair.a.probeStream(pair.b.address(), 1);
@@ -654,6 +692,100 @@ TEST(ReliableAdaptive, TimerExpiryWhileAcksFlowHalvesWindow) {
   const auto got = sink.get(1);
   ASSERT_EQ(got.size(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], std::to_string(i));
+}
+
+TEST(ReliableAdaptive, RealLossCutIsNotUndone) {
+  // Frame 0's resend is acked a full round trip after it left: the ack
+  // answers the resend, so the cut stands.
+  VirtualDuo pair(62, timerOnlyConfig(), kTwentyMs);
+  OrderedSink sink(pair.clock);
+  pair.b.setDeliver(sink.fn());
+  sendFourLosingTheFirst(pair);
+  ASSERT_TRUE(sink.waitFor(1, 4, seconds(10)));
+  ASSERT_TRUE(pair.a.flush(seconds(10)));
+  const auto stats = pair.a.stats();
+  EXPECT_EQ(stats.retransmits, 1u);
+  EXPECT_EQ(stats.windowCuts, 1u);
+  EXPECT_EQ(stats.windowUndos, 0u);
+  EXPECT_LT(pair.a.probeStream(pair.b.address(), 1).ssthresh,
+            ReliableConfig{}.maxCwnd);
+}
+
+TEST(ReliableAdaptive, SpuriousTimerCutIsUndone) {
+  // A's ack lands a quarter of the smallest RTT after A's timer resent it:
+  // too soon to answer the resend, so it answers the original and the cut
+  // (a collapse: no ack had come since A left) is taken back whole.
+  VirtualDuo pair(64, timerOnlyConfig(), kTwentyMs);
+  OrderedSink sink(pair.clock);
+  pair.b.setDeliver(sink.fn());
+  warmUp(pair);
+  const auto before = pair.a.probeStream(pair.b.address(), 1);
+  timerJustBeforeAck(pair);
+  ASSERT_TRUE(sink.waitFor(1, kWarm + 2, seconds(10)));
+  ASSERT_TRUE(pair.a.flush(seconds(10)));
+  const auto stats = pair.a.stats();
+  EXPECT_EQ(stats.retransmits, 1u);
+  EXPECT_EQ(stats.windowCuts, 1u);
+  EXPECT_EQ(stats.windowUndos, 1u);
+  const auto after = pair.a.probeStream(pair.b.address(), 1);
+  EXPECT_EQ(after.cwnd, before.cwnd);
+  EXPECT_EQ(after.ssthresh, before.ssthresh);
+}
+
+TEST(ReliableAdaptive, UndoneCutLeavesALaterLossInTheFlightToCut) {
+  // C leaves behind A and B but before A's timer, so it is in the flight
+  // A's cut covered, and the path loses it.  The undo gave back the
+  // pre-cut recoverSeq, so C's timer, after the undo, cuts again.
+  VirtualDuo pair(67, timerOnlyConfig(), kTwentyMs);
+  OrderedSink sink(pair.clock);
+  pair.b.setDeliver(sink.fn());
+  warmUp(pair);
+  timerJustBeforeAck(pair);
+  pair.net.setHostLink(1, 2, kDark);
+  pair.a.send(pair.b.address(), 1, "C");
+  pair.net.setHostLink(1, 2, kTwentyMs);
+  ASSERT_TRUE(sink.waitFor(1, kWarm + 3, seconds(10)));
+  ASSERT_TRUE(pair.a.flush(seconds(10)));
+  const auto stats = pair.a.stats();
+  EXPECT_EQ(stats.retransmits, 2u);
+  EXPECT_EQ(stats.windowUndos, 1u);
+  EXPECT_EQ(stats.windowCuts, 2u);
+  EXPECT_EQ(sink.get(1).back(), "C");
+}
+
+TEST(ReliableAdaptive, UndoNeedsACleanSampleAndOneResend) {
+  {  // No sample: the 30 ms initial rto fires before a 40 ms round trip.
+    ReliableConfig cfg = timerOnlyConfig();
+    cfg.rto = milliseconds(30);
+    VirtualDuo pair(65, cfg, kTwentyMs);
+    pair.a.send(pair.b.address(), 1, "first");
+    ASSERT_TRUE(pair.a.flush(seconds(10)));
+    const auto stats = pair.a.stats();
+    EXPECT_EQ(stats.retransmits, 1u);
+    EXPECT_EQ(stats.windowCuts, 1u);
+    EXPECT_EQ(stats.windowUndos, 0u);
+  }
+  {  // Sent again twice: A's ack is lost, and the re-ack of its first
+     // resend comes back so slowly that it lands just after the second.
+    VirtualDuo pair(66, timerOnlyConfig(), kTwentyMs);
+    warmUp(pair);
+    const auto peer = pair.a.probePeer(pair.b.address());
+    pair.net.setHostLink(2, 1, kDark);
+    pair.a.send(pair.b.address(), 1, "A");
+    pair.clock.sleepFor(peer.rto);
+    // The re-ack leaves ~22 ms after the first resend, which the second
+    // follows by 2·rto: this delay lands it ~12 ms after the second.
+    pair.net.setHostLink(
+        2, 1,
+        LinkParams{std::chrono::duration_cast<microseconds>(
+                       2 * peer.rto - milliseconds(10)),
+                   microseconds(0), 0.0, 0.0});
+    ASSERT_TRUE(pair.a.flush(seconds(10)));
+    const auto stats = pair.a.stats();
+    EXPECT_EQ(stats.retransmits, 2u);
+    EXPECT_EQ(stats.windowCuts, 1u);
+    EXPECT_EQ(stats.windowUndos, 0u);
+  }
 }
 
 TEST(ReliableAdaptive, ResetStreamForgetsTheOldEpochsAckClock) {
