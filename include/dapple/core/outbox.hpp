@@ -52,15 +52,16 @@ class Outbox {
   std::size_t removeNode(const NodeAddress& node);
 
   /// Sends a copy of `msg` along every channel.  One logical-clock send
-  /// event stamps all copies.  Throws DeliveryError if a previous message
-  /// on one of this outbox's channels exceeded the delivery timeout.
+  /// event stamps all copies.  Throws DeliveryError, and sends no copy, if
+  /// a previous message on one of the bound channels exceeded the delivery
+  /// timeout and that channel has not been reset since.
   void send(const Message& msg);
 
   /// The list of bound inboxes (the paper's `destination()`).
   std::vector<InboxRef> destinations() const;
 
   /// Clears a delivery failure (e.g. after a partition heals): resets the
-  /// underlying channel streams and re-enables send().
+  /// stream of every bound channel, dropping its unacknowledged messages.
   void reset();
 
   /// Number of bound inboxes.
@@ -87,8 +88,6 @@ class Outbox {
   std::shared_ptr<const std::vector<InboxRef>> destinations_ =
       std::make_shared<const std::vector<InboxRef>>();
   std::uint64_t version_ = 0;
-  bool failed_ = false;
-  std::string failReason_;
 };
 
 }  // namespace dapple

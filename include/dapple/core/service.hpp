@@ -13,6 +13,13 @@
 /// When the dapplet stops, or the service shuts down, `stopped` is set and
 /// every such caller wakes and throws ShutdownError — on the system clock
 /// and on a virtual one alike.
+///
+/// A service reaches a peer inbox through `channel()`: the paper's FIFO link
+/// from one outbox to one inbox, created on first use and kept for the
+/// dapplet's life.  A send on it raises DeliveryError once a message has not
+/// been delivered in time (§3.2); `sendOn()` is the one recovery, for the
+/// services whose peers may come back: it resets the failed streams and
+/// sends again.
 
 #include <condition_variable>
 #include <functional>
@@ -20,6 +27,7 @@
 #include <optional>
 #include <stop_token>
 #include <string>
+#include <unordered_map>
 
 #include "dapple/core/dapplet.hpp"
 
@@ -62,6 +70,18 @@ class ServiceCore {
   /// Wakes every caller waiting on `cv`, through the dapplet's clock.
   void notifyAll() { clock().notifyAll(cv); }
 
+  /// This service's outbox bound to `peer` alone, created on first use and
+  /// kept for the dapplet's life: one per distinct `InboxRef`.  Thread-safe
+  /// whether or not the caller holds `mutex`.  Throws AddressError, and
+  /// creates nothing, for an invalid `peer`.
+  Outbox& channel(const InboxRef& peer);
+
+  /// Sends `msg` on `box`.  On DeliveryError it resets only the streams
+  /// that failed, so a healthy destination keeps its unacknowledged frames,
+  /// and sends once more.  Returns false when that send fails too or the
+  /// message cannot be sent at all, and logs why unless the dapplet stopped.
+  bool sendOn(Outbox& box, const Message& msg);
+
   ClockSource& clock() const { return d.clockSource(); }
 
   Dapplet& d;
@@ -76,6 +96,9 @@ class ServiceCore {
 
   /// Marks the service stopped when the dapplet's stop token fires.
   std::optional<std::stop_callback<std::function<void()>>> onDappletStop_;
+
+  std::mutex channelMutex_;  ///< guards `channels_` alone
+  std::unordered_map<InboxRef, Outbox*> channels_;
 };
 
 }  // namespace dapple

@@ -459,13 +459,6 @@ void Dapplet::onStreamFailure(const NodeAddress& dst, std::uint64_t streamId,
   std::vector<PeerFailureListener> listeners;
   {
     std::scoped_lock lock(impl_->mutex);
-    const auto it = impl_->outboxesById.find(streamId);
-    if (it != impl_->outboxesById.end()) {
-      Outbox* box = it->second.get();
-      std::scoped_lock boxLock(box->mutex_);
-      box->failed_ = true;
-      box->failReason_ = reason + " (to " + dst.toString() + ")";
-    }
     listeners = impl_->peerFailureListeners;
   }
   // Listeners run without the dapplet lock (the reliable layer already

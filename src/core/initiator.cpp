@@ -107,27 +107,22 @@ struct Initiator::Impl : ServiceCore {
   };
   std::map<std::string, std::shared_ptr<SessRec>> sessions;
 
-  /// One control outbox per member control inbox, kept for the initiator's
-  /// life, and the highest incarnation (DESIGN.md §12) seen on it.
-  struct Channel {
-    Outbox* box = nullptr;
-    std::uint64_t incarnation = 0;
-  };
-  std::unordered_map<InboxRef, Channel> channels;
+  /// The highest incarnation (DESIGN.md §12) seen on each member control
+  /// channel.
+  std::unordered_map<InboxRef, std::uint64_t> incarnations;
 
-  /// The channel to `control`, created on first use.  A process restarted at
-  /// the same address (a higher `incarnation`) must not inherit the old
-  /// one's sequence numbers, so the channel is reset.  Caller holds `mutex`.
+  /// The control channel to `control`, shared by every session.  A process
+  /// restarted at the same address (a higher `incarnation`) must not inherit
+  /// the old one's sequence numbers, so the channel is reset.  Caller holds
+  /// `mutex`.
   Outbox& channel(const InboxRef& control, std::uint64_t incarnation = 0) {
-    Channel& ch = channels[control];
-    if (ch.box == nullptr) {
-      ch.box = &d.createOutbox();
-      ch.box->add(control);
-    } else if (incarnation > ch.incarnation) {
-      ch.box->reset();
+    Outbox& box = ServiceCore::channel(control);
+    const auto [it, first] = incarnations.try_emplace(control, incarnation);
+    if (!first && incarnation > it->second) {
+      box.reset();
+      it->second = incarnation;
     }
-    ch.incarnation = std::max(ch.incarnation, incarnation);
-    return *ch.box;
+    return box;
   }
 
   /// The record of `sessionId`, or null.  The caller holds `mutex`.
@@ -196,27 +191,6 @@ struct Initiator::Impl : ServiceCore {
         factor;
     return std::chrono::duration_cast<Duration>(
         std::chrono::nanoseconds(static_cast<std::int64_t>(ns)));
-  }
-
-  /// Sends `msg` on `box`, resetting a failed stream once and retrying; the
-  /// reliable layer's retransmission handles packet loss below this.  A
-  /// failed stream has already dropped its frames, so the reset loses no
-  /// other session's.
-  bool sendOn(Outbox& box, const Message& msg) {
-    try {
-      box.send(msg);
-      return true;
-    } catch (const DeliveryError&) {
-      box.reset();
-    } catch (const Error&) {
-      return false;
-    }
-    try {
-      box.send(msg);
-      return true;
-    } catch (const Error&) {
-      return false;
-    }
   }
 
   /// One setup phase of establish() (INVITE or WIRE): each attempt calls
@@ -432,12 +406,7 @@ struct Initiator::Impl : ServiceCore {
                               << ": member '" << member << "' declared down ("
                               << reason << ")";
       // Broadcast MEMBER_DOWN to the survivors.
-      for (const auto& [name, box] : rec->memberOutbox) {
-        if (!sendOn(*box, notice)) {
-          DAPPLE_LOG(kDebug, kLog)
-              << d.name() << ": MEMBER_DOWN to '" << name << "' failed";
-        }
-      }
+      for (const auto& [name, box] : rec->memberOutbox) sendOn(*box, notice);
       notifyAll();  // awaitCompletion counts the evicted member as settled
     }
     if (monitor != nullptr && !watchKey.empty()) monitor->unwatch(watchKey);

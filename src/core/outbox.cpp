@@ -49,7 +49,6 @@ void Outbox::send(const Message& msg) {
   std::shared_ptr<const std::vector<InboxRef>> destinations;
   {
     std::scoped_lock lock(mutex_);
-    if (failed_) throw DeliveryError(failReason_);
     destinations = destinations_;  // ref bump; the list itself is immutable
   }
   owner_.sendFromOutbox(id_, *destinations, msg);
@@ -59,8 +58,6 @@ void Outbox::reset() {
   std::shared_ptr<const std::vector<InboxRef>> destinations;
   {
     std::scoped_lock lock(mutex_);
-    failed_ = false;
-    failReason_.clear();
     destinations = destinations_;
   }
   for (const InboxRef& dst : *destinations) {

@@ -22,27 +22,6 @@ struct RpcServer::Impl : ServiceCore {
   std::map<std::string, Method> methods;
   Stats stats;
 
-  // Outboxes for replies, one per caller reply-inbox.
-  std::map<std::uint64_t, Outbox*> replyOutboxes;
-
-  void sendReply(const InboxRef& target, const DataMessage& msg) {
-    Outbox* box = nullptr;
-    {
-      std::scoped_lock lock(mutex);
-      const std::uint64_t key =
-          target.node.packed() * 1000003u + target.localId;
-      const auto it = replyOutboxes.find(key);
-      if (it != replyOutboxes.end()) {
-        box = it->second;
-      } else {
-        box = &d.createOutbox();
-        box->add(target);
-        replyOutboxes.emplace(key, box);
-      }
-    }
-    box->send(msg);
-  }
-
   void serveOne(const Delivery& del) {
     const auto* req = dynamic_cast<const DataMessage*>(del.message.get());
     if (req == nullptr || req->kind() != kRequestKind) {
@@ -92,7 +71,7 @@ struct RpcServer::Impl : ServiceCore {
       rsp.set("ok", Value(false));
       rsp.set("error", Value(error));
     }
-    sendReply(inboxRefFromValue(req->get("replyTo")), rsp);
+    sendOn(channel(inboxRefFromValue(req->get("replyTo"))), rsp);
   }
 };
 
@@ -164,7 +143,9 @@ void RpcClient::notify(const std::string& method, const Value& args) {
   req.set("method", Value(method));
   req.set("args", args);
   req.set("id", Value(0));
-  impl_->requestOutbox->send(req);
+  if (!impl_->sendOn(*impl_->requestOutbox, req)) {
+    throw DeliveryError("rpc notify '" + method + "' not sent");
+  }
 }
 
 Value RpcClient::call(const std::string& method, const Value& args,
@@ -179,7 +160,9 @@ Value RpcClient::call(const std::string& method, const Value& args,
   req.set("replyTo", inboxRefToValue(im.inbox->ref()));
   const auto call = im.calls.emplace(id, std::nullopt).first;
   try {
-    im.requestOutbox->send(req);
+    if (!im.sendOn(*im.requestOutbox, req)) {
+      throw DeliveryError("rpc call '" + method + "' not sent");
+    }
     im.waitFor(lock, timeout, [&] { return call->second.has_value(); });
   } catch (...) {
     im.calls.erase(call);

@@ -36,6 +36,45 @@ void ServiceCore::shutdown() {
   d.destroyInbox(*inbox);
 }
 
+Outbox& ServiceCore::channel(const InboxRef& peer) {
+  // Checked before the table is touched, so a malformed ref (one taken from
+  // a peer's message, say) leaves neither an entry nor an outbox behind.
+  if (!peer.valid()) throw AddressError("channel: invalid inbox address");
+  std::scoped_lock lock(channelMutex_);
+  Outbox*& box = channels_[peer];
+  if (box == nullptr) {
+    box = &d.createOutbox();
+    box->add(peer);
+  }
+  return *box;
+}
+
+bool ServiceCore::sendOn(Outbox& box, const Message& msg) {
+  try {
+    try {
+      box.send(msg);
+    } catch (const DeliveryError&) {
+      // A failed stream has already dropped its frames; the healthy ones
+      // keep theirs.
+      ReliableEndpoint& transport = d.transport();
+      for (const InboxRef& dst : box.destinations()) {
+        if (transport.probeStream(dst.node, box.id()).failed) {
+          transport.resetStream(dst.node, box.id());
+        }
+      }
+      box.send(msg);
+    }
+    return true;
+  } catch (const ShutdownError&) {
+    return false;  // the dapplet stopped or crashed under the sender
+  } catch (const Error& e) {
+    DAPPLE_LOG(kWarn, kLog) << d.name() << ": " << msg.typeName()
+                            << " on outbox #" << box.id()
+                            << " not sent: " << e.what();
+    return false;
+  }
+}
+
 void ServiceCore::markStopped() {
   std::scoped_lock lock(mutex);
   stopped = true;

@@ -49,7 +49,6 @@ struct SessionContext::Record {
 
   std::map<std::string, Inbox*> inboxes;    // session-local name -> inbox
   std::map<std::string, Outbox*> outboxes;  // session-local name -> outbox
-  Outbox* replyOutbox = nullptr;            // bound to initiatorReply
 
   std::optional<StateView> stateView;
   std::vector<std::string> peers;
@@ -183,39 +182,14 @@ struct SessionAgent::Impl : ServiceCore,
   InterferenceGuard interference;
   Stats stats;
 
-  // Cache of outboxes keyed by reply target, reused across sessions so each
-  // initiator sees one FIFO stream from this agent.
-  std::map<std::uint64_t, Outbox*> replyOutboxes;
-  std::mutex replyMutex;
-
   // -- helpers -----------------------------------------------------------
 
-  /// Sends `msg` to `target` over a cached dedicated outbox.  Every session
-  /// of one initiator replies on that stream, so a failed stream (the
-  /// initiator was unreachable past deliveryTimeout) is reset and the send
-  /// retried once: onPeerFailure unlinks the sessions the failure broke,
-  /// and the failure must not outlive the outage for the sessions after.
+  /// Sends `msg` to `target` on this agent's channel to it.  Every session
+  /// of one initiator replies on that stream, so sendOn recovers it after an
+  /// outage: onPeerFailure unlinks the sessions the failure broke, and the
+  /// failure must not outlive the outage for the sessions after.
   void reply(const InboxRef& target, const Message& msg) {
-    Outbox* box = nullptr;
-    {
-      std::scoped_lock lock(replyMutex);
-      const std::uint64_t key =
-          target.node.packed() * 1000003u + target.localId;
-      const auto it = replyOutboxes.find(key);
-      if (it != replyOutboxes.end()) {
-        box = it->second;
-      } else {
-        box = &d.createOutbox();
-        box->add(target);
-        replyOutboxes.emplace(key, box);
-      }
-    }
-    try {
-      box->send(msg);
-    } catch (const DeliveryError&) {
-      box->reset();
-      box->send(msg);
-    }
+    sendOn(channel(target), msg);
   }
 
   /// How many times a restarted member re-sends its REJOIN before declaring
@@ -257,11 +231,7 @@ struct SessionAgent::Impl : ServiceCore,
       unlinkLocal(rec, true);
       return;
     }
-    try {
-      reply(rec->initiatorReply, rj);
-    } catch (const Error&) {
-      // The next step sends again.
-    }
+    reply(rec->initiatorReply, rj);  // if it fails, the next step sends again
     auto self = shared_from_this();
     const Duration delay = milliseconds(100) * (attempt + 1);
     std::scoped_lock lock(journalMutex);
@@ -302,9 +272,14 @@ struct SessionAgent::Impl : ServiceCore,
     if (!closed) cfg.store->put(journalKey(m.sessionId), Value(std::move(meta)));
   }
 
+  /// Forgets `sessionId` for good.  A session cut off by its dapplet's crash
+  /// or stop keeps its journal, whatever unlinks it afterwards (the monitor
+  /// suspecting the initiator, say, while crash() joins the role): the
+  /// restarted process rejoins it.
   void eraseJournal(const std::string& sessionId) {
     std::scoped_lock lock(journalMutex);
     if (closed) return;  // the store may already be gone
+    if (d.stopToken().stop_requested()) return;
     if (journaling()) cfg.store->erase(journalKey(sessionId));
   }
 
@@ -333,6 +308,14 @@ struct SessionAgent::Impl : ServiceCore,
   }
 
   void onInvite(const InviteMsg& m) {
+    if (!m.replyTo.valid()) {
+      // No one to answer, and no initiator to drive the session: a session
+      // made from it would only hold its interference claim for good.
+      DAPPLE_LOG(kWarn, kLog) << d.name() << ": INVITE for session "
+                              << m.sessionId
+                              << " names no valid reply inbox; dropped";
+      return;
+    }
     InviteReplyMsg out;
     out.sessionId = m.sessionId;
     out.memberName = m.memberName;
@@ -510,12 +493,7 @@ struct SessionAgent::Impl : ServiceCore,
         std::scoped_lock lock(rec->mutex);
         done.result = rec->result;
       }
-      try {
-        reply(rec->initiatorReply, done);
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog) << d.name() << ": DONE send failed: "
-                                << e.what();
-      }
+      reply(rec->initiatorReply, done);
       {
         std::scoped_lock lock(mutex);
         ++stats.sessionsCompleted;
@@ -564,24 +542,20 @@ struct SessionAgent::Impl : ServiceCore,
   }
 
   /// A peer dapplet at `node` crash-stopped: drop this session's bindings to
-  /// it, clear the resulting stream failures so survivor channels keep
-  /// working, and fail blocked receives fast.  Every session inbox gets one
-  /// PeerDownError alert — the agent cannot know which inboxes the dead peer
-  /// fed, so roles must treat the error as "session degraded, a peer is
-  /// gone" and re-enter receive if they still expect survivor traffic.
+  /// it (the survivors' streams keep their unacknowledged frames) and fail
+  /// blocked receives fast.  Every session inbox gets one PeerDownError
+  /// alert — the agent cannot know which inboxes the dead peer fed, so roles
+  /// must treat the error as "session degraded, a peer is gone" and
+  /// re-enter receive if they still expect survivor traffic.
   void evictNode(const std::shared_ptr<SessionContext::Record>& rec,
                  const NodeAddress& node, const std::string& reason) {
-    std::vector<Outbox*> outboxes;
     {
       std::scoped_lock lock(mutex);
       if (sessions.count(rec->sessionId) == 0) return;  // already unlinked
       for (const auto& [name, box] : rec->outboxes) {
-        if (box != nullptr) outboxes.push_back(box);
+        if (box != nullptr) box->removeNode(node);
       }
       ++stats.peersEvicted;
-    }
-    for (Outbox* box : outboxes) {
-      if (box->removeNode(node) > 0) box->reset();
     }
     for (const auto& [name, box] : rec->inboxes) box->raise(reason);
     mPeersEvicted->inc();
@@ -743,27 +717,17 @@ struct SessionAgent::Impl : ServiceCore,
   /// Reliable-stream failure hook: a send stream from this dapplet timed
   /// out.  When it is one of a session's data outboxes, evict the dead node
   /// locally (the initiator's MEMBER_DOWN may lag or never come if the
-  /// initiator died too).  When it is a cached reply stream, every session
-  /// whose initiator lives at `dst` just lost its head — unlink them.
+  /// initiator died too).  When it is a session's reply channel, every
+  /// session that replies on it just lost its head — unlink them.
   void onPeerFailure(const NodeAddress& dst, std::uint64_t outboxId,
                      const std::string& reason) {
-    bool isReplyStream = false;
-    {
-      std::scoped_lock lock(replyMutex);
-      for (const auto& [key, box] : replyOutboxes) {
-        if (box->id() == outboxId) {
-          isReplyStream = true;
-          break;
-        }
-      }
-    }
     std::vector<std::shared_ptr<SessionContext::Record>> evict;
     std::vector<std::shared_ptr<SessionContext::Record>> headless;
     {
       std::scoped_lock lock(mutex);
       for (const auto& [id, rec] : sessions) {
-        if (isReplyStream) {
-          if (rec->initiatorReply.node == dst) headless.push_back(rec);
+        if (channel(rec->initiatorReply).id() == outboxId) {
+          headless.push_back(rec);
           continue;
         }
         for (const auto& [name, box] : rec->outboxes) {

@@ -114,9 +114,7 @@ void CausalGroup::attach(const std::vector<InboxRef>& members,
   impl_->delivered.assign(members.size(), 0);
   impl_->peers.resize(members.size(), nullptr);
   for (std::size_t i = 0; i < members.size(); ++i) {
-    Outbox& box = impl_->d.createOutbox();
-    box.add(members[i]);
-    impl_->peers[i] = &box;
+    impl_->peers[i] = &impl_->channel(members[i]);
   }
   impl_->attached = true;
 }

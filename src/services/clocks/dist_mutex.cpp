@@ -102,9 +102,7 @@ void DistributedMutex::attach(const std::vector<InboxRef>& members,
   impl_->peerOutboxes.resize(members.size(), nullptr);
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (i == selfIndex) continue;
-    Outbox& box = impl_->d.createOutbox();
-    box.add(members[i]);
-    impl_->peerOutboxes[i] = &box;
+    impl_->peerOutboxes[i] = &impl_->channel(members[i]);
   }
   impl_->attached = true;
 }

@@ -125,9 +125,7 @@ void TotalOrderGroup::attach(const std::vector<InboxRef>& members,
   impl_->lastHeard.assign(members.size(), 0);
   impl_->peers.resize(members.size(), nullptr);
   for (std::size_t i = 0; i < members.size(); ++i) {
-    Outbox& box = impl_->d.createOutbox();
-    box.add(members[i]);
-    impl_->peers[i] = &box;
+    impl_->peers[i] = &impl_->channel(members[i]);
   }
   impl_->attached = true;
 }

@@ -54,10 +54,6 @@ struct LivenessMonitor::Impl : ServiceCore {
     bool suspected = false;
   };
   std::unordered_map<std::string, Watch> watches;
-  // Outboxes replaced by watch()/unwatch() are parked here, not destroyed:
-  // beat() sends on raw Outbox pointers outside the lock, so storage must
-  // outlive the beat loop.  Freed in the destructor once the loop is done.
-  std::vector<Outbox*> retired;
 
   std::vector<PeerFn> suspectFns;
   std::vector<PeerFn> aliveFns;
@@ -118,18 +114,13 @@ struct LivenessMonitor::Impl : ServiceCore {
       }
       stats.heartbeatsSent += targets.size();
     }
+    // A stream to a (probably dead) peer that failed is reset by sendOn, so
+    // heartbeats resume if the peer heals.  Suspicion itself is
+    // silence-driven.
     DataMessage hb(kHeartbeat);
     for (auto& [out, suspected] : targets) {
-      try {
-        if (suspected) out->reset();
-        out->send(hb);
-      } catch (const DeliveryError&) {
-        // Stream to a (probably dead) peer failed; re-arm so heartbeats
-        // resume if the peer heals.  Suspicion itself is silence-driven.
-        out->reset();
-      } catch (const Error&) {
-        // Endpoint closing down; the beat timer stops with the dapplet.
-      }
+      if (suspected) out->reset();
+      sendOn(*out, hb);
     }
   }
 
@@ -180,45 +171,15 @@ LivenessMonitor::~LivenessMonitor() {
   impl_->firstBeat.cancel();
   impl_->beatTimer.cancel();
   impl_->shutdown();
-  std::scoped_lock lock(impl_->mutex);
-  for (auto& [key, w] : impl_->watches) {
-    try {
-      impl_->d.destroyOutbox(*w.out);
-    } catch (const Error&) {
-    }
-  }
-  impl_->watches.clear();
-  for (Outbox* out : impl_->retired) {
-    try {
-      impl_->d.destroyOutbox(*out);
-    } catch (const Error&) {
-    }
-  }
-  impl_->retired.clear();
 }
 
 InboxRef LivenessMonitor::ref() const { return impl_->inbox->ref(); }
 
 void LivenessMonitor::watch(const std::string& key, const InboxRef& peer) {
   if (!peer.valid()) return;  // peers without a detector are simply unwatched
-  Outbox* out = &impl_->d.createOutbox();
-  out->add(peer);
-  Outbox* replaced = nullptr;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    auto [it, inserted] = impl_->watches.try_emplace(key);
-    if (!inserted) {
-      replaced = it->second.out;
-      impl_->retired.push_back(replaced);
-    }
-    it->second = {peer, out, impl_->now(), false};
-  }
-  if (replaced != nullptr) {
-    try {
-      replaced->reset();
-    } catch (const Error&) {
-    }
-  }
+  Outbox* out = &impl_->channel(peer);
+  std::scoped_lock lock(impl_->mutex);
+  impl_->watches[key] = {peer, out, impl_->now(), false};
 }
 
 void LivenessMonitor::unwatch(const std::string& key) {
@@ -228,15 +189,14 @@ void LivenessMonitor::unwatch(const std::string& key) {
     const auto it = impl_->watches.find(key);
     if (it == impl_->watches.end()) return;
     out = it->second.out;
-    impl_->retired.push_back(out);
     impl_->watches.erase(it);
+    for (const auto& [other, w] : impl_->watches) {
+      if (w.out == out) return;  // another watch still beats on the channel
+    }
   }
-  try {
-    // Drop unacked heartbeats so a retired stream to a dead peer does not
-    // pin dapplet-wide flush() until the delivery timeout.
-    out->reset();
-  } catch (const Error&) {
-  }
+  // Drop unacked heartbeats so a stream to a dead peer does not pin
+  // dapplet-wide flush() until the delivery timeout.
+  out->reset();
 }
 
 void LivenessMonitor::onSuspect(PeerFn fn) {

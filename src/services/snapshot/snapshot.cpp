@@ -194,9 +194,7 @@ void CheckpointService::attach(const std::vector<InboxRef>& members,
   impl_->selfIndex = selfIndex;
   impl_->peers.resize(members.size(), nullptr);
   for (std::size_t i = 0; i < members.size(); ++i) {
-    Outbox& box = impl_->d.createOutbox();
-    box.add(members[i]);
-    impl_->peers[i] = &box;
+    impl_->peers[i] = &impl_->channel(members[i]);
   }
   impl_->attached = true;
 }
@@ -413,9 +411,7 @@ void MarkerRegion::attach(const std::vector<InboxRef>& members,
   impl_->selfIndex = selfIndex;
   impl_->peers.resize(members.size(), nullptr);
   for (std::size_t i = 0; i < members.size(); ++i) {
-    Outbox& box = impl_->d.createOutbox();
-    box.add(members[i]);
-    impl_->peers[i] = &box;
+    impl_->peers[i] = &impl_->channel(members[i]);
   }
   impl_->appOutboxes = std::move(appOutboxes);
   impl_->inChannels = inChannels;

@@ -80,16 +80,11 @@ void DistributedBarrier::attach(const std::vector<InboxRef>& members,
     // Coordinator keeps an outbox to every member for RELEASE broadcast.
     impl_->peers.resize(members.size(), nullptr);
     for (std::size_t i = 0; i < members.size(); ++i) {
-      Outbox& box = impl_->d.createOutbox();
-      box.add(members[i]);
-      impl_->peers[i] = &box;
+      impl_->peers[i] = &impl_->channel(members[i]);
     }
   } else {
     // Plain members only talk to the coordinator.
-    impl_->peers.resize(1, nullptr);
-    Outbox& box = impl_->d.createOutbox();
-    box.add(members[0]);
-    impl_->peers[0] = &box;
+    impl_->peers.assign(1, &impl_->channel(members[0]));
   }
   impl_->attached = true;
 }
@@ -187,15 +182,10 @@ void DistributedSingleAssignment::attach(const std::vector<InboxRef>& members,
   if (selfIndex == 0) {
     impl_->peers.resize(members.size(), nullptr);
     for (std::size_t i = 0; i < members.size(); ++i) {
-      Outbox& box = impl_->d.createOutbox();
-      box.add(members[i]);
-      impl_->peers[i] = &box;
+      impl_->peers[i] = &impl_->channel(members[i]);
     }
   } else {
-    impl_->peers.resize(1, nullptr);
-    Outbox& box = impl_->d.createOutbox();
-    box.add(members[0]);
-    impl_->peers[0] = &box;
+    impl_->peers.assign(1, &impl_->channel(members[0]));
   }
   impl_->attached = true;
 }

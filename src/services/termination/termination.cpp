@@ -84,9 +84,7 @@ void TerminationDetector::attach(const std::vector<InboxRef>& members,
   impl_->rootIndex = rootIndex;
   impl_->peers.resize(members.size(), nullptr);
   for (std::size_t i = 0; i < members.size(); ++i) {
-    Outbox& box = impl_->d.createOutbox();
-    box.add(members[i]);
-    impl_->peers[i] = &box;
+    impl_->peers[i] = &impl_->channel(members[i]);
   }
   impl_->attached = true;
 }

@@ -335,9 +335,7 @@ struct TokenManager::Impl : ServiceCore {
   }
 
   void rewireSlotLocked(std::size_t index, const InboxRef& ref) {
-    Outbox& box = *peers.at(index);
-    for (const InboxRef& old : box.destinations()) box.remove(old);
-    box.add(ref);
+    peers.at(index) = &channel(ref);
   }
 
   // ---- maintenance (renewals, expiry, recall) -----------------------------
@@ -1015,9 +1013,7 @@ void TokenManager::attach(const std::vector<InboxRef>& managers,
     impl_->selfIndex = selfIndex;
     impl_->peers.resize(managers.size(), nullptr);
     for (std::size_t i = 0; i < managers.size(); ++i) {
-      Outbox& box = impl_->d.createOutbox();
-      box.add(managers[i]);
-      impl_->peers[i] = &box;
+      impl_->peers[i] = &impl_->channel(managers[i]);
     }
     // Crash recovery: journaled pools and holdings take precedence over the
     // `initial` seeds — re-seeding a restored colour would mint new tokens

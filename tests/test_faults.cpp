@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "dapple/apps/calendar.hpp"
+#include "dapple/core/rpc.hpp"
 #include "dapple/core/session.hpp"
 #include "dapple/net/sim.hpp"
 #include "dapple/serial/data_message.hpp"
@@ -261,6 +262,184 @@ TEST(Faults, TerminateReturnsBeforeItsUnlinksAreAcked) {
   agents.clear();
   for (auto& m : members) m->stop();
   director.stop();
+}
+
+TEST(Faults, EvictionKeepsSurvivorFramesInFlight) {
+  // One outbox of member a feeds b and c.  Evicting c unbinds c alone: the
+  // frames a partition holds back from b stay queued for b and reach it
+  // once the partition heals, in order and with no gap.
+  const std::uint64_t seed = testkit::testSeed(784);
+  DAPPLE_SEED_TRACE(seed);
+  testkit::VirtualClock clock;
+  // Time stands still while the test thread runs: the partition lasts
+  // exactly the 200 ms the test waits.
+  clock.announceWorker();
+  const ClockSource::WorkerScope mainIsWorker(clock);
+  SimNetwork net(seed, simOn(clock));
+  std::atomic<Outbox*> feed{nullptr};  // a's session outbox, outlives roles
+  std::atomic<bool> finish{false};
+  DappletConfig cfg = lossTolerant(clock);
+  cfg.host = 1;
+  Dapplet director(net, "director", cfg);
+  Directory directory;
+  std::vector<std::unique_ptr<Dapplet>> members;
+  std::vector<std::unique_ptr<SessionAgent>> agents;
+  for (const std::string name : {"a", "b", "c"}) {
+    cfg.host = static_cast<std::uint32_t>(2 + members.size());
+    members.push_back(std::make_unique<Dapplet>(net, name, cfg));
+    agents.push_back(std::make_unique<SessionAgent>(*members.back()));
+    agents.back()->registerApp("fan", [name, &feed, &finish](
+                                          SessionContext& ctx) {
+      if (name != "b") {
+        // a hands its outbox to the test; c stays alive until evicted.
+        if (name == "a") feed = &ctx.outbox("out");
+        while (!finish) ctx.dapplet().clockSource().sleepFor(milliseconds(5));
+        return;
+      }
+      ValueList got;
+      int alerts = 0;
+      while (got.size() < 15) {
+        try {
+          const auto del = ctx.inbox("in").receiveFor(seconds(2));
+          if (!del) break;
+          got.push_back(del->as<DataMessage>().get("i"));
+        } catch (const PeerDownError&) {
+          ++alerts;
+        }
+      }
+      ValueMap result;
+      result["got"] = Value(std::move(got));
+      result["alerts"] = Value(alerts);
+      ctx.setResult(Value(std::move(result)));
+    });
+    directory.put(name, agents.back()->controlRef());
+  }
+  Initiator initiator(director);
+  Initiator::Plan plan;
+  plan.app = "fan";
+  plan.members.push_back(Initiator::member(directory, "a", {}));
+  plan.members.push_back(Initiator::member(directory, "b", {"in"}));
+  plan.members.push_back(Initiator::member(directory, "c", {"in"}));
+  plan.edges = {{"a", "out", "b", "in"}, {"a", "out", "c", "in"}};
+  const auto session = initiator.establish(plan);
+  ASSERT_TRUE(session.ok);
+  while (feed == nullptr) clock.sleepFor(milliseconds(1));
+  const auto send = [&feed](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      DataMessage msg("n");
+      msg.set("i", Value(i));
+      feed.load()->send(msg);
+    }
+  };
+
+  send(0, 5);
+  ASSERT_TRUE(members[0]->flush(seconds(5)));
+  net.setPartition(2, 3, true);  // a -x- b
+  send(5, 10);
+  initiator.failMember(session.sessionId, "c", "evicted by the test");
+  clock.sleepFor(milliseconds(200));
+  net.setPartition(2, 3, false);
+  send(10, 15);
+  finish = true;
+
+  const auto results = initiator.awaitCompletion(session.sessionId, seconds(10));
+  ASSERT_EQ(1u, results.count("b"));
+  std::string got;
+  for (const Value& v : results.at("b").at("got").asList()) {
+    got += std::to_string(v.asInt()) + " ";
+  }
+  EXPECT_EQ("0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 ", got);
+  EXPECT_EQ(1, results.at("b").at("alerts").asInt());
+  initiator.terminate(session.sessionId);
+
+  agents.clear();
+  for (auto& m : members) m->stop();
+  director.stop();
+}
+
+TEST(Faults, InviteWithoutReplyInboxIsDropped) {
+  // An INVITE naming no valid reply inbox cannot be answered: the member
+  // makes no session of it, which would hold its interference claim for
+  // good, and a later stream failure there reaches every failure listener.
+  const std::uint64_t seed = testkit::testSeed(786);
+  DAPPLE_SEED_TRACE(seed);
+  testkit::VirtualClock clock;
+  clock.announceWorker();
+  const ClockSource::WorkerScope mainIsWorker(clock);
+  SimNetwork net(seed, simOn(clock));
+  DappletConfig cfg = lossTolerant(clock);
+  cfg.host = 1;
+  Dapplet peer(net, "peer", cfg);
+  cfg.host = 2;
+  Dapplet member(net, "member", cfg);
+  SessionAgent agent(member);
+  agent.registerApp("noop", [](SessionContext&) {});
+  std::atomic<int> failures{0};
+  member.addPeerFailureListener(
+      [&failures](const NodeAddress&, std::uint64_t, const std::string&) {
+        ++failures;
+      });
+
+  Outbox& ctl = peer.createOutbox();
+  ctl.add(agent.controlRef());
+  InviteMsg invite;  // replyTo left invalid
+  invite.sessionId = "no-reply";
+  invite.app = "noop";
+  invite.initiatorName = "peer";
+  invite.memberName = "m";
+  invite.params = Value(ValueMap{});
+  ctl.send(invite);
+  ASSERT_TRUE(peer.flush(seconds(5)));
+  EXPECT_TRUE(agent.activeSessions().empty());
+
+  Outbox& out = member.createOutbox();
+  out.add(peer.createInbox().ref());
+  net.setPartition(1, 2, true);
+  out.send(DataMessage("lost"));
+  clock.sleepFor(seconds(11));  // past lossTolerant's deliveryTimeout
+  EXPECT_EQ(1, failures.load());
+
+  member.stop();
+  peer.stop();
+}
+
+TEST(Faults, RpcRecoversAfterPartitionOutlastsDeliveryTimeout) {
+  // The reply to `cut` goes into a partition that outlasts deliveryTimeout,
+  // so the server's reply stream fails.  Once the partition heals, the same
+  // client reaches the server again, and its replies come back.
+  const std::uint64_t seed = testkit::testSeed(785);
+  DAPPLE_SEED_TRACE(seed);
+  testkit::VirtualClock clock;
+  clock.announceWorker();
+  const ClockSource::WorkerScope mainIsWorker(clock);
+  SimNetwork net(seed, simOn(clock));
+  DappletConfig cfg;
+  cfg.clock = &clock;
+  cfg.reliable.tickInterval = milliseconds(2);
+  cfg.reliable.rto = milliseconds(10);
+  cfg.reliable.deliveryTimeout = milliseconds(250);
+  cfg.host = 1;
+  Dapplet server(net, "server", cfg);
+  cfg.host = 2;
+  Dapplet client(net, "client", cfg);
+  RpcServer rpc(server);
+  rpc.bind("echo", [](const Value& args) { return args; });
+  rpc.bind("cut", [&net](const Value&) {
+    net.setPartition(1, 2, true);
+    return Value(true);
+  });
+  RpcClient stub(client, rpc.ref());
+
+  EXPECT_THROW(stub.call("cut", Value(), milliseconds(100)), TimeoutError);
+  clock.sleepFor(milliseconds(600));
+  EXPECT_EQ(1u, server.transport().stats().failures);
+  net.setPartition(1, 2, false);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(i, stub.call("echo", Value(i), seconds(5)).asInt());
+  }
+
+  client.stop();
+  server.stop();
 }
 
 TEST(Faults, TokensSurviveLossyNetwork) {

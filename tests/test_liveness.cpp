@@ -232,5 +232,31 @@ TEST(Liveness, WatchingManyPeersKeysAreIndependent) {
   c.stop();
 }
 
+TEST(Liveness, RewatchingOnePeerKeepsOneChannel) {
+  // A session initiator watches each member once per session: every watch
+  // of one peer beats on the monitor's one channel to it.
+  testkit::VirtualClock clock;
+  SimNetwork net(907, simOn(clock));
+  Dapplet a(net, "a", fastDetect(clock));
+  Dapplet b(net, "b", fastDetect(clock));
+  LivenessMonitor ma(a);
+  LivenessMonitor mb(b);
+  const auto outboxes = [&a] {
+    return a.metrics().gauges.at("core.outboxes");
+  };
+  EXPECT_EQ(0, outboxes());
+  for (int i = 0; i < 50; ++i) {
+    const std::string key = "s" + std::to_string(i) + "/b";
+    ma.watch(key, mb.ref());
+    clock.sleepFor(milliseconds(30));
+    ma.unwatch(key);
+    ASSERT_EQ(1, outboxes()) << "after watch " << i;
+  }
+  EXPECT_GE(ma.stats().heartbeatsSent, 50u);
+
+  a.stop();
+  b.stop();
+}
+
 }  // namespace
 }  // namespace dapple

@@ -7,11 +7,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <thread>
+#include <mutex>
+#include <optional>
 
+#include "dapple/core/reactor.hpp"
 #include "dapple/core/session.hpp"
 #include "dapple/net/sim.hpp"
 #include "dapple/serial/data_message.hpp"
@@ -400,6 +403,19 @@ Value roleParams(const std::string& role) {
   return Value(std::move(params));
 }
 
+/// Waits `d` of the dapplet's time; false, at once, when the role is
+/// stopped.  Dapplet::crash() wakes every clocked wait, so a test thread that
+/// holds virtual time still can crash a paced role without letting the
+/// crashed member's timers run on while crash() joins the role.
+bool pace(SessionContext& ctx, Duration d) {
+  std::mutex mx;
+  std::condition_variable cv;
+  std::unique_lock lock(mx);
+  const std::stop_token stop = ctx.stopToken();
+  return !ctx.dapplet().clockSource().waitFor(
+      lock, cv, d, [&stop] { return stop.stop_requested(); });
+}
+
 /// One app, two roles.  "feeder" streams numbered items and retries until
 /// each is acked; "sum" folds them into durable state exactly once (the
 /// journaled lastSeq dedups redelivery across the restart).
@@ -453,7 +469,7 @@ void registerPipelineApp(SessionAgent& agent) {
       if (seq == last + 1) {  // exactly-once apply
         // Pace each apply in virtual time so the test can crash this member
         // provably mid-stream (item k lands at ~k * 100ms virtual).
-        ctx.dapplet().clockSource().sleepFor(milliseconds(100));
+        if (!pace(ctx, milliseconds(100))) break;
         sum += seq;
         last = seq;
         state.put("rec.sum", Value(static_cast<long long>(sum)));
@@ -495,7 +511,7 @@ Initiator::Plan pipelinePlan(const InboxRef& feederCtl,
   return plan;
 }
 
-/// Parks the (guest) test thread until the paced pipeline is provably
+/// Parks the test thread until the paced pipeline is provably
 /// mid-stream, returning the victim's durable progress at the crash point.
 std::int64_t settleMidStream(testkit::VirtualClock& clock,
                              recovery::DurableState& ds) {
@@ -604,6 +620,11 @@ TEST(Rejoin, RestartAfterEvictionUnEvicts) {
   const std::uint64_t seed = testkit::testSeed(921);
   DAPPLE_SEED_TRACE(seed);
   testkit::VirtualClock clock;
+  // Time stands still while the test thread runs, so the crash lands
+  // mid-stream, where settleMidStream left the pipeline, and no timer of
+  // the crashed victim runs on while crash() joins its role.
+  clock.announceWorker();
+  const ClockSource::WorkerScope mainIsWorker(clock);
   SimNetwork net(seed, simOn(clock));
   const std::string dir = tempDir("unevict");
 
@@ -645,7 +666,7 @@ TEST(Rejoin, RestartAfterEvictionUnEvicts) {
 
   // Wait until the detector's verdict lands: the victim is evicted.
   while (initiator.downMembers(result.sessionId).count("victim") == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    clock.sleepFor(milliseconds(1));
   }
 
   auto victim2 =
@@ -674,6 +695,81 @@ TEST(Rejoin, RestartAfterEvictionUnEvicts) {
   victimMon2.reset();
   victim2->stop();
   feeder.stop();
+  director.stop();
+}
+
+TEST(Rejoin, CrashedMemberKeepsJournalWhenItsMonitorSuspectsTheInitiator) {
+  // On a shared reactor a crashed member's monitor keeps beating, hears
+  // nothing and suspects the initiator, so the member's agent unlinks the
+  // session as headless.  That unlink comes after the crash point: the
+  // journal must survive it for the restarted process to rejoin.
+  const std::uint64_t seed = testkit::testSeed(926);
+  DAPPLE_SEED_TRACE(seed);
+  testkit::VirtualClock clock;
+  SimNetwork net(seed, simOn(clock));
+  const std::string dir = tempDir("headless");
+  Reactor::Options loopOpts;
+  loopOpts.threads = 1;
+  loopOpts.clock = &clock;
+  Reactor loop(loopOpts);  // outlives the victim and its monitor
+
+  LivenessConfig live;
+  live.heartbeatInterval = milliseconds(25);
+  live.suspectTimeout = milliseconds(200);
+  Dapplet director(net, "director", recoveryCfg(clock, 1));
+  LivenessMonitor directorMon(director, live);
+
+  DappletConfig vcfgNet = recoveryCfg(clock, 2);
+  vcfgNet.runtime.reactor = &loop;
+  auto victim = std::make_unique<Dapplet>(net, "victim", vcfgNet);
+  auto victimMon = std::make_unique<LivenessMonitor>(*victim, live);
+  auto vds = std::make_unique<recovery::DurableState>(*victim, dir);
+  SessionAgent::Config vcfg;
+  vcfg.store = &vds->store();
+  vcfg.durableSessions = true;
+  vcfg.incarnation = vds->incarnation();
+  vcfg.monitor = victimMon.get();
+  std::atomic<bool> running{false};
+  const auto idle = [&running](SessionContext& ctx) {
+    running = true;
+    while (!ctx.stopToken().stop_requested()) {
+      ctx.dapplet().clockSource().sleepFor(milliseconds(10));
+    }
+  };
+  auto victimAgent = std::make_unique<SessionAgent>(*victim, vcfg);
+  victimAgent->registerApp("rec.idle", idle);
+
+  Initiator initiator(director, &directorMon);
+  Initiator::Plan plan;
+  plan.app = "rec.idle";
+  Initiator::MemberPlan member;
+  member.name = "victim";
+  member.control = victimAgent->controlRef();
+  plan.members = {member};
+  const auto result = initiator.establish(plan);
+  ASSERT_TRUE(result.ok);
+  while (!running) clock.sleepFor(milliseconds(1));
+
+  victim->crash();  // joins the role: the session only waits for UNLINK
+  clock.sleepFor(milliseconds(500));  // past the victim monitor's timeout
+  EXPECT_EQ(1u, victimAgent->stats().initiatorsLost);
+  victimAgent.reset();
+  vds.reset();
+  victimMon.reset();
+  victim.reset();
+
+  Dapplet victim2(net, "victim", recoveryCfg(clock, 3));
+  recovery::DurableState vds2(victim2, dir);
+  SessionAgent::Config vcfg2;
+  vcfg2.store = &vds2.store();
+  vcfg2.durableSessions = true;
+  vcfg2.incarnation = vds2.incarnation();
+  SessionAgent victimAgent2(victim2, vcfg2);
+  victimAgent2.registerApp("rec.idle", idle);
+  EXPECT_EQ(1u, victimAgent2.rejoinPersisted().size());
+
+  initiator.terminate(result.sessionId);
+  victim2.stop();
   director.stop();
 }
 
@@ -789,6 +885,10 @@ TEST(TokenRecovery, RestartConservesTokensAndRewiresGrants) {
   const std::uint64_t seed = testkit::testSeed(923);
   DAPPLE_SEED_TRACE(seed);
   testkit::VirtualClock clock;
+  // Time stands still while the test thread runs, so the survivor's loan
+  // cannot age between the restart and the rewire.
+  clock.announceWorker();
+  const ClockSource::WorkerScope mainIsWorker(clock);
   SimNetwork net(seed, simOn(clock));
   const std::string dir = tempDir("tokens");
   const std::string c0 = colorHomedAt(0, 2);  // homed at the survivor
@@ -856,6 +956,48 @@ TEST(TokenRecovery, RestartConservesTokensAndRewiresGrants) {
   mb2.reset();
   bds2.reset();
   b2->stop();
+  a.stop();
+}
+
+TEST(TokenRecovery, RewiredHomeSurvivesOldStreamTimeout) {
+  // A request to the dead home leaves its frame unacknowledged on the
+  // stream to the old address, which fails deliveryTimeout later.  That
+  // failure is the old address's: requests to the rewired home go on.
+  const std::uint64_t seed = testkit::testSeed(925);
+  DAPPLE_SEED_TRACE(seed);
+  testkit::VirtualClock clock;
+  clock.announceWorker();
+  const ClockSource::WorkerScope mainIsWorker(clock);
+  SimNetwork net(seed, simOn(clock));
+  const std::string c1 = colorHomedAt(1, 2);
+
+  Dapplet a(net, "a", recoveryCfg(clock, 1));
+  TokenManager ma(a);
+  auto b = std::make_unique<Dapplet>(net, "b", recoveryCfg(clock, 2));
+  auto mb = std::make_unique<TokenManager>(*b);
+  ma.attach({ma.ref(), mb->ref()}, 0, {});
+  mb->attach({ma.ref(), mb->ref()}, 1, {{c1, 5}});
+
+  b->crash();
+  mb.reset();
+  b.reset();
+  EXPECT_THROW(ma.request({{c1, 1}}, milliseconds(300)), TimeoutError);
+
+  Dapplet b2(net, "b", recoveryCfg(clock, 3));
+  auto mb2 = std::make_unique<TokenManager>(b2);
+  mb2->attach({ma.ref(), mb2->ref()}, 1, {{c1, 5}});
+  ma.rewire(1, mb2->ref());
+  ma.request({{c1, 1}}, seconds(5));
+  ma.release({{c1, 1}});
+
+  clock.sleepFor(seconds(11));  // past recoveryCfg's deliveryTimeout
+  EXPECT_EQ(1u, a.transport().stats().failures);  // the old home's stream
+  ma.request({{c1, 1}}, seconds(5));
+  EXPECT_EQ(1, ma.holdsTokens().at(c1));
+  ma.release({{c1, 1}});
+
+  mb2.reset();
+  b2.stop();
   a.stop();
 }
 
